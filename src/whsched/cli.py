@@ -307,6 +307,8 @@ def cmd_experiment(args) -> int:
               "sets_total", "sets_schedulable", "ratio", "mean_analysis_seconds"]
     results: list[ExperimentResult] = []
     failure: str | None = None
+    # one target at a time, so the rows of the targets before an input
+    # error (Infeasible, EmptyTaskSet: both ValueErrors) still get flushed
     try:
         for target in u_list:
             results.extend(run_experiment(
@@ -314,7 +316,7 @@ def cmd_experiment(args) -> int:
                 args.sets, [target], args.seed,
                 (args.period_min, args.period_max), periods,
             ))
-    except Exception as e:  # partial results still get flushed below
+    except ValueError as e:
         failure = f"{type(e).__name__}: {e}"
     results.sort(key=lambda r: (r.policy, r.target_u))
     with _out_stream(args.out) as out:

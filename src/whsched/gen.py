@@ -22,6 +22,10 @@ class Scenario(Enum):
 # keeps parameter draws out of the utilization stream
 _PARAM_SEED_OFFSET = 0x27220A95
 
+# resampling budget of uunifast: about half a second at n = 20; the worst
+# of 200 seeds at n = 10, total = 7 (0.7 n) needed 13,169 draws
+UUNIFAST_MAX_ATTEMPTS = 50_000
+
 
 @dataclass(frozen=True, slots=True)
 class GenSpec:
@@ -61,7 +65,8 @@ def uunifast(n: int, total: float, seed: int = 0) -> list[float]:
     split (the discard loop cannot sample it).
 
     Raises:
-        Infeasible: if total > n.
+        Infeasible: if total > n, or if UUNIFAST_MAX_ATTEMPTS draws in a
+            row were discarded.
         ValueError: if n < 1 or total <= 0.
     """
     if n < 1:
@@ -73,7 +78,7 @@ def uunifast(n: int, total: float, seed: int = 0) -> list[float]:
     if total == n:
         return [1.0] * n
     rng = random.Random(seed)
-    while True:
+    for _ in range(UUNIFAST_MAX_ATTEMPTS):
         shares = []
         remaining = total
         for i in range(1, n):
@@ -83,6 +88,10 @@ def uunifast(n: int, total: float, seed: int = 0) -> list[float]:
         shares.append(remaining)
         if max(shares) <= 1.0:
             return shares
+    raise Infeasible(
+        f"no split of utilization {total} into {n} tasks with every share <= 1 "
+        f"in {UUNIFAST_MAX_ATTEMPTS} draws"
+    )
 
 
 def _miss_bounds(spec: GenSpec) -> tuple[int, int]:

@@ -12,6 +12,11 @@ weakly-hard extension thins the workload of interfering tasks to the
 jobs that must hit: high tolerance tasks behave like hard tasks with the
 period stretched to (w + 1) T, low tolerance tasks drop one job per
 h + 1 released plus a carry-out correction.
+
+``baseline_workload`` and ``wh_workload`` spell these bounds out term by
+term.  ``analyze`` and ``response_time`` evaluate the same arithmetic
+inline, on integer tuples compiled once per call, without building a
+``WorkloadTerms`` per interferer.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import Task, TaskSet, ToleranceClass, classify, derive_wh, equivalent_task, rank_key
-from .priority import EmptyTaskSet, JobClassTable, assign_priorities
+from .priority import EmptyTaskSet, JobClassTable
 
 
 class InterferencePolicy(Enum):
@@ -137,6 +142,76 @@ def _interferers(
     return [t for t in ts if rank_key(t) < key]
 
 
+# The kernel works on plain integers.  A task is compiled once per
+# analysis into (id, C, D, P, h): P is the period its workload uses and
+# h drives the low tolerance thinning (0 means none).  An interferer
+# enters the fixed point as a term (C, P, h, Rub - C - slack), the last
+# entry being the offset that turns the window L into x.
+_Compiled = tuple[int, int, int, int, int]
+_Term = tuple[int, int, int, int]
+
+
+def _compile(task: Task, policy: InterferencePolicy) -> _Compiled:
+    # mirrors wh_workload: high tolerance tasks use the equivalent hard
+    # task's period (w + 1) T, low tolerance tasks keep T and thin by h
+    period, h = task.period, 0
+    if policy is InterferencePolicy.WEAKLY_HARD_JC0:
+        tol = classify(task.constraint)
+        if tol is ToleranceClass.HIGH:
+            period *= derive_wh(task.constraint).w + 1
+        elif tol is ToleranceClass.LOW:
+            h = derive_wh(task.constraint).h
+    return (task.id, task.wcet, task.deadline, period, h)
+
+
+def _term(wcet: int, period: int, h: int, rub: int, slack: int) -> _Term:
+    return (wcet, period, h, rub - wcet - slack)
+
+
+def _bound(wcet: int, deadline: int, terms: list[_Term], cores: int) -> int:
+    """Least fixed point of the busy-window recurrence, D + 1 once past D.
+
+    Each term's workload over the window L = Rub is the one of
+    baseline_workload / wh_workload, inlined: x = L + offset,
+    N = floor(x / P), r = x - N P.  Without thinning it is N C + min(C, r);
+    with thinning by h, floor(N / (h + 1)) whole jobs are excluded and
+    min(C, r) is dropped when N mod (h + 1) = h.  Nothing contributes
+    for x <= 0.
+    """
+    rub = wcet
+    while True:
+        cap = rub - wcet + 1
+        budget = 0
+        for c, p, h, offset in terms:
+            x = rub + offset
+            if x <= 0:
+                continue
+            n = x // p
+            r = x - n * p
+            if h:
+                g = h + 1
+                w = (n - n // g) * c
+                if n % g != h:
+                    w += r if r < c else c
+            else:
+                w = n * c + (r if r < c else c)
+            budget += w if w < cap else cap
+        nxt = wcet + budget // cores
+        if nxt > deadline:
+            return deadline + 1
+        if nxt == rub:
+            return rub
+        rub = nxt
+
+
+def _slack(deadline: int, rub: int) -> int:
+    return deadline - rub if rub <= deadline else 0
+
+
+def _report(task_id: int, deadline: int, rub: int) -> TaskReport:
+    return TaskReport(task_id, rub, _slack(deadline, rub), rub <= deadline)
+
+
 def response_time(
     task: Task,
     ts: TaskSet,
@@ -162,64 +237,57 @@ def response_time(
     if policy is InterferencePolicy.WEAKLY_HARD_JC0 and table is None:
         raise ValueError("weakly-hard analysis needs a JobClassTable")
     estimates = estimates or {}
-    interferers = _interferers(task, ts, policy, table)
-    workload = wh_workload if policy is InterferencePolicy.WEAKLY_HARD_JC0 else baseline_workload
-    rub = task.wcet
-    while True:
-        cap = rub - task.wcet + 1
-        budget = 0
-        for other in interferers:
-            orub, oslack = estimates[other.id]
-            contribution = workload(other, orub, oslack, rub).total
-            budget += contribution if contribution < cap else cap
-        nxt = task.wcet + budget // cores
-        if nxt > task.deadline:
-            return TaskReport(task.id, task.deadline + 1, 0, False)
-        if nxt == rub:
-            return TaskReport(task.id, rub, task.deadline - rub, True)
-        rub = nxt
+    terms = []
+    for other in _interferers(task, ts, policy, table):
+        _, wcet, _, period, h = _compile(other, policy)
+        terms.append(_term(wcet, period, h, *estimates[other.id]))
+    rub = _bound(task.wcet, task.deadline, terms, cores)
+    return _report(task.id, task.deadline, rub)
 
 
-def _analyze_fixed_priority(
-    ts: TaskSet, cores: int, policy: InterferencePolicy, table: JobClassTable | None
-) -> dict[int, TaskReport]:
-    # single pass in priority order; slacks of higher-priority tasks are
-    # already available when a task is reached
-    ordered = sorted(ts, key=rank_key)
-    estimates: dict[int, tuple[int, int]] = {}
-    reports: dict[int, TaskReport] = {}
-    for task in ordered:
-        rep = response_time(task, ts, cores, policy, table, estimates)
-        reports[task.id] = rep
-        estimates[task.id] = (rep.rub, rep.slack)
-    return reports
+def _analyze_fixed_priority(compiled: list[_Compiled], cores: int) -> list[int]:
+    # single pass in rank order, which is also the jc0 priority order:
+    # the interferers of a task are exactly the tasks before it
+    terms: list[_Term] = []
+    rubs = []
+    for _, wcet, deadline, period, h in compiled:
+        rub = _bound(wcet, deadline, terms, cores)
+        rubs.append(rub)
+        terms.append(_term(wcet, period, h, rub, _slack(deadline, rub)))
+    return rubs
 
 
-def _analyze_edf(ts: TaskSet, cores: int) -> dict[int, TaskReport]:
+def _analyze_edf(compiled: list[_Compiled], cores: int) -> list[int]:
     # every other task interferes, so no analysis order works up front:
-    # start from zero slack and refine the whole set until nothing moves
-    estimates = {t.id: (t.deadline, 0) for t in ts}
-    reports: dict[int, TaskReport] = {}
-    prev_verdicts: frozenset[int] | None = None
-    for _ in range(2 * len(ts) + 4):
-        reports = {
-            task.id: response_time(task, ts, cores, InterferencePolicy.GLOBAL_EDF, None, estimates)
-            for task in ts
-        }
-        new_estimates = {tid: (rep.rub, rep.slack) for tid, rep in reports.items()}
-        verdicts = frozenset(tid for tid, rep in reports.items() if rep.schedulable)
-        if new_estimates == estimates or verdicts == prev_verdicts:
+    # start from zero slack (Rub = D) and refine the whole set in Jacobi
+    # rounds until the bounds or the verdicts stop moving.  An estimate
+    # (Rub, slack) is a function of Rub alone, so comparing the bounds
+    # compares the estimates.
+    rubs = [deadline for _, _, deadline, _, _ in compiled]
+    prev_verdicts: list[bool] | None = None
+    for _ in range(2 * len(compiled) + 4):
+        terms = [
+            _term(wcet, period, h, rub, _slack(deadline, rub))
+            for (_, wcet, deadline, period, h), rub in zip(compiled, rubs)
+        ]
+        new_rubs = [
+            _bound(wcet, deadline, terms[:k] + terms[k + 1:], cores)
+            for k, (_, wcet, deadline, _, _) in enumerate(compiled)
+        ]
+        verdicts = [rub <= deadline for (_, _, deadline, _, _), rub in zip(compiled, new_rubs)]
+        settled = new_rubs == rubs or verdicts == prev_verdicts
+        rubs, prev_verdicts = new_rubs, verdicts
+        if settled:
             break
-        estimates = new_estimates
-        prev_verdicts = verdicts
-    return reports
+    return rubs
 
 
 def analyze(ts: TaskSet, cores: int, policy: InterferencePolicy) -> AnalysisReport:
     """Analyze a whole task set under one interference policy.
 
-    Fixed-priority policies run a single pass in priority order; global
-    EDF iterates whole-set rounds until the slacks settle.  The set is
+    The set is compiled once into integer tuples in rank order.
+    Fixed-priority policies run a single pass in that order; global EDF
+    iterates whole-set rounds until the slacks settle.  The set is
     schedulable when every task is.
 
     Raises:
@@ -230,10 +298,11 @@ def analyze(ts: TaskSet, cores: int, policy: InterferencePolicy) -> AnalysisRepo
         raise EmptyTaskSet("cannot analyze an empty task set")
     if cores < 1:
         raise ValueError(f"cores must be >= 1, got {cores}")
+    compiled = [_compile(task, policy) for task in sorted(ts, key=rank_key)]
     if policy is InterferencePolicy.GLOBAL_EDF:
-        reports = _analyze_edf(ts, cores)
+        rubs = _analyze_edf(compiled, cores)
     else:
-        table = assign_priorities(ts) if policy is InterferencePolicy.WEAKLY_HARD_JC0 else None
-        reports = _analyze_fixed_priority(ts, cores, policy, table)
+        rubs = _analyze_fixed_priority(compiled, cores)
+    reports = {c[0]: _report(c[0], c[2], rub) for c, rub in zip(compiled, rubs)}
     entries = tuple(reports[task.id] for task in ts)
     return AnalysisReport(entries, all(e.schedulable for e in entries), policy)

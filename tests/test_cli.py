@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from whsched import cli
 from whsched import TaskSet, Task, WeaklyHardConstraint, load_taskset, main, run_experiment, save_taskset
 from whsched.gen import Scenario
 
@@ -272,6 +273,18 @@ class TestExperiment:
         text = out.read_text()
         assert "FAILED" in text
         assert "error:" in capsys.readouterr().err
+
+    def test_unexpected_error_propagates(self, tmp_path, monkeypatch):
+        # only input errors (ValueError) become a FAILED row; a bug in the
+        # harness surfaces as itself
+        def broken(*args, **kwargs):
+            raise RuntimeError("harness bug")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        out = tmp_path / "bug.csv"
+        with pytest.raises(RuntimeError, match="harness bug"):
+            main(self.ARGS + ["--out", str(out)])
+        assert not out.exists() or "FAILED" not in out.read_text()
 
 
 class TestRunExperiment:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from whsched import (
@@ -42,6 +44,14 @@ class TestUunifast:
         shares = uunifast(5, 2.5, seed=7)
         assert shares[0] == pytest.approx(0.6140932904347003, abs=0)
         assert shares[4] == pytest.approx(0.058671338916774105, abs=0)
+
+    def test_discard_loop_is_bounded(self):
+        # valid vectors are a vanishing corner of the simplex here: the
+        # draw gives up with Infeasible instead of resampling forever
+        start = time.perf_counter()
+        with pytest.raises(Infeasible):
+            uunifast(20, 19.9)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestGenSpec:
