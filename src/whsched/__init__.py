@@ -49,7 +49,6 @@ from .sequences import (
     DeadlineSequence,
     SequenceTooShort,
     TransformationCost,
-    WindowTooLarge,
     critical_sequence,
     hardness_bruteforce,
     satisfies,
@@ -107,7 +106,6 @@ __all__ = [
     "UniformUpToWcet",
     "Violation",
     "WeaklyHardConstraint",
-    "WindowTooLarge",
     "WorkloadTerms",
     "advance_job_level",
     "analyze",

@@ -2,9 +2,10 @@
 
 A sequence records one bit per job: 1 for a met deadline, 0 for a miss.
 Window constraints bound hits or misses over every window of a fixed
-length, either anywhere in the window or as consecutive runs.  Counting
-over all sequences of a given length enumerates the full 2^K space with
-exact integer counts (vectorized in chunks, reduced deterministically).
+length, either anywhere in the window or as consecutive runs.  Counts
+over all sequences of a given length are exact integers: the (w, h)
+pattern's sequences by a run-length automaton, the (m, K) sequences in
+closed form.
 """
 
 from __future__ import annotations
@@ -13,18 +14,13 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from enum import Enum
 from fractions import Fraction
-
-import numpy as np
+from math import comb, inf
 
 from .model import MKTransform, WeaklyHardConstraint, derive_wh
 
 
 class SequenceTooShort(ValueError):
     """The sequence has fewer outcomes than the window length."""
-
-
-class WindowTooLarge(ValueError):
-    """Enumeration over 2^K sequences was requested for too large a K."""
 
 
 class ConstraintKind(Enum):
@@ -107,35 +103,33 @@ def critical_sequence(transform: MKTransform) -> DeadlineSequence:
     return DeadlineSequence((1,) * transform.h + (0,) * transform.w)
 
 
-# chunk size for the 2^K enumeration; bounds peak memory, keeps the
-# reduction order fixed
-_CHUNK = 1 << 20
+def _fold_admitted(k: int, t: MKTransform, start, unreached, join, miss):
+    """Fold a value over every length-k sequence the (w, h) pattern admits.
 
-_MAX_COST_K = 24
-_MAX_BRUTEFORCE_K = 20
+    The pattern allows at most w misses in every (w + h)-window.  When
+    w = 1 or h = 1, the only shapes ``derive_wh`` gives, that holds
+    exactly when misses come in runs of at most w and runs are at least
+    h hits apart.  So the state is one run counter: the hits since the
+    last run (capped at h), or the length of the current run.
 
-
-def _miss_bound_ok(values: np.ndarray, seq_len: int, misses: int, window: int) -> np.ndarray:
-    """Mask of sequences whose every window holds at most ``misses`` zeros.
-
-    Sequences are encoded as integers, one bit per job.
+    Each state holds the value of the sequences that end in it:
+    ``start`` for the empty sequence, ``unreached`` while none does.
+    ``miss`` carries a value across a miss, ``join`` merges the values
+    that meet in one state.  Returns the join over all states.
     """
-    ok = np.ones(values.shape, dtype=bool)
-    wmask = np.uint32((1 << window) - 1)
-    for shift in range(seq_len - window + 1):
-        win = (values >> np.uint32(shift)) & wmask
-        ok &= (window - np.bitwise_count(win)) <= misses
-    return ok
-
-
-def _chunks(seq_len: int):
-    total = 1 << seq_len
-    for start in range(0, total, _CHUNK):
-        yield np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-
-
-def _count_any_misses(seq_len: int, misses: int, window: int) -> int:
-    return sum(int(_miss_bound_ok(v, seq_len, misses, window).sum()) for v in _chunks(seq_len))
+    # gaps[g - 1]: g hits since the last run, the last entry meaning h or
+    # more; runs[r - 1]: r misses into the current run.  The empty
+    # sequence is h hits clear of any run.
+    gaps = [unreached] * (t.h - 1) + [start]
+    runs = [unreached] * t.w
+    for _ in range(k):
+        # a hit ends the run or widens the gap; a miss opens a run once
+        # the gap is h wide, or lengthens a run shorter than w
+        hit = [join(runs)] + gaps[:-1]
+        hit[-1] = join((hit[-1], gaps[-1]))
+        runs = [miss(v) for v in [gaps[-1]] + runs[:-1]]
+        gaps = hit
+    return join(gaps + runs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,43 +152,33 @@ class TransformationCost:
 def transformation_cost(constraint: WeaklyHardConstraint) -> TransformationCost:
     """Count how much of the (m, K) sequence space the (w, h) pattern keeps.
 
-    Enumerates all 2^K outcome sequences of length K and counts, exactly:
-    those meeting at-most-w-misses in every (w + h)-window (the pattern,
-    applied as a sliding constraint), and those meeting at most m misses
-    in the whole window.  The quotient is the fraction of tolerated
-    behaviors that survive the transformation.
+    Counts, exactly, the length-K outcome sequences that meet
+    at-most-w-misses in every (w + h)-window (the pattern, applied as a
+    sliding constraint), by summing the ways into each state of the
+    pattern's run-length automaton, and those with at most m misses in
+    all, sum(C(K, i) for i <= m).  The quotient is the fraction of
+    tolerated behaviors that survive the transformation.
 
     Raises:
-        WindowTooLarge: if K > 24.
         HardTaskHasNoTransform: for hard constraints.
     """
-    if constraint.K > _MAX_COST_K:
-        raise WindowTooLarge(f"enumeration capped at K <= {_MAX_COST_K}, got {constraint.K}")
     t = derive_wh(constraint)
-    transformed = _count_any_misses(constraint.K, t.w, t.length)
-    original = _count_any_misses(constraint.K, constraint.m, constraint.K)
+    transformed = _fold_admitted(constraint.K, t, 1, 0, sum, lambda n: n)
+    original = sum(comb(constraint.K, i) for i in range(constraint.m + 1))
     return TransformationCost(transformed, original)
 
 
 def hardness_bruteforce(constraint: WeaklyHardConstraint) -> bool:
-    """Verify by enumeration that the (w, h) pattern implies (m, K).
+    """Verify exhaustively that the (w, h) pattern implies (m, K).
 
-    Checks every length-K sequence: any sequence meeting
+    Covers every length-K sequence: any sequence meeting
     at-most-w-misses in every (w + h)-window must also hold at most m
-    misses total.  Returns True when no counterexample exists.
+    misses in all.  The pattern's run-length automaton carries the most
+    misses of any sequence into each state; returns True when no state
+    holds more than m.
 
     Raises:
-        WindowTooLarge: if K > 20.
         HardTaskHasNoTransform: for hard constraints.
     """
-    if constraint.K > _MAX_BRUTEFORCE_K:
-        raise WindowTooLarge(
-            f"enumeration capped at K <= {_MAX_BRUTEFORCE_K}, got {constraint.K}"
-        )
     t = derive_wh(constraint)
-    for values in _chunks(constraint.K):
-        transformed = _miss_bound_ok(values, constraint.K, t.w, t.length)
-        original = _miss_bound_ok(values, constraint.K, constraint.m, constraint.K)
-        if bool(np.any(transformed & ~original)):
-            return False
-    return True
+    return _fold_admitted(constraint.K, t, 0, -inf, max, lambda n: n + 1) <= constraint.m

@@ -6,7 +6,10 @@ import sys
 import pytest
 
 from whsched import cli
-from whsched import TaskSet, Task, WeaklyHardConstraint, load_taskset, main, run_experiment, save_taskset
+from whsched import (
+    TaskSet, Task, WeaklyHardConstraint, load_taskset, main, run_experiment, save_taskset,
+    transformation_cost,
+)
 from whsched.gen import Scenario
 
 
@@ -72,6 +75,12 @@ class TestCount:
     def test_spec_example(self, capsys):
         assert main(["count", "--m", "2", "--k", "5"]) == 0
         assert capsys.readouterr().out.strip() == "9/16 0.5625"
+
+    def test_large_window(self, capsys):
+        assert main(["count", "--m", "300", "--k", "1000"]) == 0
+        cost = transformation_cost(WeaklyHardConstraint(300, 1000))
+        expect = f"{cost.transformed_count}/{cost.original_count} {cost.decimal()}"
+        assert capsys.readouterr().out.strip() == expect
 
     def test_hard_constraint_is_an_input_error(self, capsys):
         assert main(["count", "--m", "0", "--k", "1"]) == 2
