@@ -41,7 +41,6 @@ from .rta import (
     WorkloadTerms,
     analyze,
     baseline_workload,
-    response_time,
     wh_workload,
 )
 from .sequences import (
@@ -122,7 +121,6 @@ __all__ = [
     "load_taskset",
     "main",
     "make_taskset",
-    "response_time",
     "run_experiment",
     "satisfies",
     "save_taskset",

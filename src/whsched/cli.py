@@ -128,7 +128,11 @@ def run_experiment(
     analyzed under every requested policy, so the per-policy ratios are
     paired.  Results are sorted by (policy, target utilization).  All
     columns except the timing one are deterministic for a given seed.
+
+    Raises:
+        ValueError: if sets < 1.
     """
+    _check_sets(sets)
     results = []
     for target in u_list:
         batch = [
@@ -163,7 +167,12 @@ def _out_stream(path: str | None):
             yield fh
 
 
-def _parse_release(text: str, seed: int):
+def _check_sets(sets: int) -> None:
+    if sets < 1:
+        raise ValueError(f"sets must be >= 1, got {sets}")
+
+
+def _parse_release(text: str):
     if text == "sync":
         return Synchronous()
     if text.startswith("jitter:"):
@@ -171,7 +180,7 @@ def _parse_release(text: str, seed: int):
             jitter = int(text.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad release spec {text!r}, expected sync or jitter:N") from None
-        return SporadicJitter(jitter, seed)
+        return SporadicJitter(jitter)
     raise ValueError(f"bad release spec {text!r}, expected sync or jitter:N")
 
 
@@ -183,6 +192,20 @@ def _parse_u_list(text: str) -> list[float]:
     if not values:
         raise ValueError("empty utilization list")
     return values
+
+
+def _parse_period_grid(text: str | None) -> tuple[int, ...] | None:
+    if not text:
+        return None
+    periods = []
+    for item in text.split(","):
+        if not item.strip():
+            continue
+        try:
+            periods.append(int(item))
+        except ValueError:
+            raise ValueError(f"bad --period-grid item {item!r}, expected an integer") from None
+    return tuple(periods)
 
 
 def _parse_policies(text: str) -> list[str]:
@@ -241,12 +264,14 @@ def cmd_simulate(args) -> int:
             horizon = int(args.horizon)
         except ValueError:
             raise ValueError(f"bad horizon {args.horizon!r}, expected an integer or auto") from None
-    execution = AlwaysWcet() if args.execution == "wcet" else UniformUpToWcet(args.seed)
+    # the seed goes to SimConfig alone, which derives the release and
+    # execution streams from it at different offsets
+    execution = AlwaysWcet() if args.execution == "wcet" else UniformUpToWcet()
     cfg = SimConfig(
         cores=args.cores,
         horizon=horizon,
         policy=_SIM_POLICY[args.policy],
-        release=_parse_release(args.release, args.seed),
+        release=_parse_release(args.release),
         execution=execution,
         seed=args.seed,
     )
@@ -276,10 +301,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    scenario = Scenario.ALL_LOW if args.scenario == "low" else Scenario.ALL_HIGH
-    periods = None
-    if args.period_grid:
-        periods = tuple(int(x) for x in args.period_grid.split(",") if x.strip())
+    _check_sets(args.sets)
+    scenario = Scenario(args.scenario)
+    periods = _parse_period_grid(args.period_grid)
     for i in range(args.sets):
         spec = GenSpec(
             args.tasks, args.u, args.k, scenario,
@@ -297,12 +321,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    scenario = Scenario.ALL_LOW if args.scenario == "low" else Scenario.ALL_HIGH
+    # input errors here fail before any CSV is written
+    _check_sets(args.sets)
+    scenario = Scenario(args.scenario)
     policies = _parse_policies(args.policy)
     u_list = _parse_u_list(args.u_list)
-    periods = None
-    if args.period_grid:
-        periods = tuple(int(x) for x in args.period_grid.split(",") if x.strip())
+    periods = _parse_period_grid(args.period_grid)
     header = ["policy", "scenario", "tasks", "cores", "window", "target_u",
               "sets_total", "sets_schedulable", "ratio", "mean_analysis_seconds"]
     results: list[ExperimentResult] = []

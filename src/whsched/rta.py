@@ -14,9 +14,9 @@ period stretched to (w + 1) T, low tolerance tasks drop one job per
 h + 1 released plus a carry-out correction.
 
 ``baseline_workload`` and ``wh_workload`` spell these bounds out term by
-term.  ``analyze`` and ``response_time`` evaluate the same arithmetic
-inline, on integer tuples compiled once per call, without building a
-``WorkloadTerms`` per interferer.
+term.  ``analyze``, the one response-time entry point, evaluates the
+same arithmetic inline, on integer tuples compiled once per call in
+rank order, without building a ``WorkloadTerms`` per interferer.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .model import Task, TaskSet, ToleranceClass, classify, derive_wh, equivalent_task, rank_key
-from .priority import EmptyTaskSet, JobClassTable
+from .priority import EmptyTaskSet
 
 
 class InterferencePolicy(Enum):
@@ -129,19 +129,6 @@ class AnalysisReport:
         raise KeyError(task_id)
 
 
-def _interferers(
-    task: Task, ts: TaskSet, policy: InterferencePolicy, table: JobClassTable | None
-) -> list[Task]:
-    if policy is InterferencePolicy.GLOBAL_EDF:
-        return [t for t in ts if t.id != task.id]
-    if policy is InterferencePolicy.WEAKLY_HARD_JC0:
-        assert table is not None
-        mine = table.jc0(task.id)
-        return [t for t in ts if table.jc0(t.id) > mine]
-    key = rank_key(task)
-    return [t for t in ts if rank_key(t) < key]
-
-
 # The kernel works on plain integers.  A task is compiled once per
 # analysis into (id, C, D, P, h): P is the period its workload uses and
 # h drives the low tolerance thinning (0 means none).  An interferer
@@ -210,39 +197,6 @@ def _slack(deadline: int, rub: int) -> int:
 
 def _report(task_id: int, deadline: int, rub: int) -> TaskReport:
     return TaskReport(task_id, rub, _slack(deadline, rub), rub <= deadline)
-
-
-def response_time(
-    task: Task,
-    ts: TaskSet,
-    cores: int,
-    policy: InterferencePolicy,
-    table: JobClassTable | None = None,
-    estimates: dict[int, tuple[int, int]] | None = None,
-) -> TaskReport:
-    """Fixed-point response-time bound for one task.
-
-    Args:
-        task: the task under analysis.
-        ts: the full task set.
-        cores: number of identical cores.
-        policy: which tasks interfere and with which workload bound.
-        table: job-class priorities, required for the weakly-hard policy.
-        estimates: (Rub, slack) per interfering task id.
-
-    Returns:
-        TaskReport with the converged Rub, its slack, and the verdict.
-        Divergence past the deadline reports Rub = D + 1, slack 0.
-    """
-    if policy is InterferencePolicy.WEAKLY_HARD_JC0 and table is None:
-        raise ValueError("weakly-hard analysis needs a JobClassTable")
-    estimates = estimates or {}
-    terms = []
-    for other in _interferers(task, ts, policy, table):
-        _, wcet, _, period, h = _compile(other, policy)
-        terms.append(_term(wcet, period, h, *estimates[other.id]))
-    rub = _bound(task.wcet, task.deadline, terms, cores)
-    return _report(task.id, task.deadline, rub)
 
 
 def _analyze_fixed_priority(compiled: list[_Compiled], cores: int) -> list[int]:

@@ -100,7 +100,7 @@ class Violation:
 class _Job:
     __slots__ = (
         "task_id", "index", "release", "deadline", "class_index",
-        "key", "remaining", "executed", "finished", "finish", "recorded",
+        "key", "remaining", "executed", "finish", "recorded",
     )
 
     def __init__(self, task_id, index, release, deadline, class_index, key, exec_time, recorded):
@@ -112,7 +112,6 @@ class _Job:
         self.key = key
         self.remaining = exec_time
         self.executed = 0
-        self.finished = False
         self.finish = None
         self.recorded = recorded
 
@@ -227,8 +226,7 @@ def simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig) -> SimTra
             now = int(t)
 
         for j in running:
-            if j.remaining == 0 and not j.finished:
-                j.finished = True
+            if j.remaining == 0 and j.finish is None:
                 j.finish = now
                 events.append((now, "finish", j.task_id, j.index))
 
@@ -236,7 +234,7 @@ def simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig) -> SimTra
         # exactly at its deadline counts as a hit
         expired = [j for j in live if j.deadline == now]
         for j in expired:
-            hit = j.finished
+            hit = j.finish is not None
             if not hit:
                 events.append((now, "kill", j.task_id, j.index))
             if j.recorded:
@@ -264,7 +262,7 @@ def simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig) -> SimTra
             live.append(job)
             events.append((now, "release", tid, idx))
 
-        ready = [j for j in live if not j.finished]
+        ready = [j for j in live if j.finish is None]
         ready.sort(key=lambda j: j.key)
         running = ready[:cfg.cores]
 

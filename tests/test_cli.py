@@ -210,6 +210,46 @@ class TestSimulate:
                      "--policy", "wh", "--horizon", "soon"]) == 2
         assert "horizon" in capsys.readouterr().err
 
+    def test_uniform_exec_is_not_tied_to_jitter(self, tmp_path, capsys):
+        # one task on one core runs unhindered, so each job executes
+        # finish - release; the release stream and the execution stream
+        # must not replay each other
+        path = write_taskset(tmp_path / "one.json",
+                             [{"id": 0, "C": 6, "D": 10, "T": 10, "m": 0, "K": 1}])
+        assert main(["simulate", "--in", path, "--cores", "1", "--policy", "wh",
+                     "--horizon", "2000", "--release", "jitter:5",
+                     "--exec", "uniform", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        rows = list(csv.DictReader(line for line in out.splitlines()
+                                   if not line.startswith("#")))
+        releases = [int(r["release"]) for r in rows]
+        execs = [int(r["finish"]) - int(r["release"]) for r in rows]
+        jitters = [b - a - 10 for a, b in zip(releases, releases[1:])]
+        assert len(jitters) > 100
+        assert any(e != j + 1 for e, j in zip(execs, jitters))
+
+    def test_jitter_with_wcet_is_pinned(self, tmp_path, capsys):
+        path = write_taskset(tmp_path / "pair.json", [
+            {"id": 0, "C": 3, "D": 8, "T": 10, "m": 1, "K": 3},
+            {"id": 1, "C": 4, "D": 9, "T": 12, "m": 2, "K": 3},
+        ])
+        assert main(["simulate", "--in", path, "--cores", "1", "--policy", "wh",
+                     "--horizon", "60", "--release", "jitter:4", "--seed", "3"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "task,release,deadline,q,finish,outcome",
+            "0,0,8,0,3,hit",
+            "0,11,19,0,14,hit",
+            "0,25,33,1,28,hit",
+            "0,39,47,2,42,hit",
+            "0,50,58,2,54,hit",
+            "1,0,9,0,7,hit",
+            "1,16,25,1,20,hit",
+            "1,31,40,1,35,hit",
+            "1,47,56,1,51,hit",
+            "# task=0 outcomes=11111",
+            "# task=1 outcomes=1111",
+        ]
+
     def test_bad_release_spec(self, tmp_path, capsys):
         path = write_taskset(tmp_path / "one.json",
                              [{"id": 0, "C": 1, "D": 2, "T": 2, "m": 0, "K": 1}])
@@ -248,6 +288,24 @@ class TestGenerate:
         assert main(["generate", "--tasks", "2", "--u", "3.0", "--k", "5",
                      "--scenario", "low", "--out", str(tmp_path / "x.json")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("sets", ["0", "-2"])
+    def test_sets_must_be_positive(self, tmp_path, capsys, sets):
+        out = tmp_path / "x.json"
+        assert main(["generate", "--tasks", "3", "--u", "1.0", "--k", "5",
+                     "--scenario", "high", "--sets", sets, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: sets must be >= 1, got {sets}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_period_grid_item(self, tmp_path, capsys):
+        assert main(["generate", "--tasks", "3", "--u", "1.0", "--k", "5",
+                     "--scenario", "high", "--period-grid", "10,x,25",
+                     "--out", str(tmp_path / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert "--period-grid" in err and "'x'" in err
 
 
 class TestExperiment:
@@ -296,6 +354,24 @@ class TestExperiment:
         assert not out.exists() or "FAILED" not in out.read_text()
 
 
+    @pytest.mark.parametrize("sets", ["0", "-2"])
+    def test_sets_must_be_positive(self, tmp_path, capsys, sets):
+        out = tmp_path / "x.csv"
+        args = list(self.ARGS)
+        args[args.index("--sets") + 1] = sets
+        assert main(args + ["--out", str(out)]) == 2
+        assert f"error: sets must be >= 1, got {sets}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_period_grid_item(self, capsys):
+        args = list(self.ARGS)
+        args[args.index("--period-grid") + 1] = "10,20,x"
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "--period-grid" in captured.err and "'x'" in captured.err
+        assert captured.out == ""
+
+
 class TestRunExperiment:
     def test_pairing_and_ordering(self):
         results = run_experiment(
@@ -312,3 +388,8 @@ class TestRunExperiment:
         by = {(r.policy, r.target_u): r.sets_schedulable for r in results}
         assert by[("wh", 1.0)] >= by[("rm", 1.0)]
         assert by[("wh", 2.0)] >= by[("rm", 2.0)]
+
+    def test_sets_must_be_positive(self):
+        with pytest.raises(ValueError, match="sets must be >= 1, got 0"):
+            run_experiment(["rm"], Scenario.ALL_HIGH, tasks=3, cores=2, window=5,
+                           sets=0, u_list=[1.0])

@@ -13,7 +13,6 @@ from whsched import (
     assign_priorities,
     baseline_workload,
     make_taskset,
-    response_time,
     wh_workload,
 )
 
@@ -163,10 +162,6 @@ class TestResponseTime:
         assert [e.task_id for e in report.entries] == [1, 2, 3]
         with pytest.raises(KeyError):
             report.entry(99)
-
-    def test_wh_policy_requires_table(self):
-        with pytest.raises(ValueError):
-            response_time(EXAMPLE.task(1), EXAMPLE, 2, WH, table=None)
 
     def test_invalid_inputs(self):
         with pytest.raises(EmptyTaskSet):
