@@ -16,14 +16,12 @@ from .model import (
     InvalidConstraint,
     InvalidTask,
     MKTransform,
-    NotHighTolerance,
     Task,
     TaskSet,
     ToleranceClass,
     WeaklyHardConstraint,
     classify,
     derive_wh,
-    equivalent_task,
     harder_than,
 )
 from .priority import (
@@ -38,10 +36,7 @@ from .rta import (
     AnalysisReport,
     InterferencePolicy,
     TaskReport,
-    WorkloadTerms,
     analyze,
-    baseline_workload,
-    wh_workload,
 )
 from .sequences import (
     ConstraintKind,
@@ -89,7 +84,6 @@ __all__ = [
     "JobLevelState",
     "JobRecord",
     "MKTransform",
-    "NotHighTolerance",
     "Scenario",
     "SchedulingPolicy",
     "SequenceTooShort",
@@ -105,17 +99,14 @@ __all__ = [
     "UniformUpToWcet",
     "Violation",
     "WeaklyHardConstraint",
-    "WorkloadTerms",
     "advance_job_level",
     "analyze",
     "assign_priorities",
-    "baseline_workload",
     "check_trace",
     "class_count",
     "classify",
     "critical_sequence",
     "derive_wh",
-    "equivalent_task",
     "harder_than",
     "hardness_bruteforce",
     "load_taskset",
@@ -127,5 +118,4 @@ __all__ = [
     "simulate",
     "transformation_cost",
     "uunifast",
-    "wh_workload",
 ]

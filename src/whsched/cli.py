@@ -44,6 +44,11 @@ _SIM_POLICY = {
 _TASK_FIELDS = ("id", "C", "D", "T", "m", "K")
 
 
+def _is_int(v) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def load_taskset(path: str) -> TaskSet:
     """Read a version-1 task set file, reporting a precise field on error."""
     try:
@@ -53,8 +58,9 @@ def load_taskset(path: str) -> TaskSet:
         raise ValueError(f"{path}: line {e.lineno}: {e.msg}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    if doc.get("version") != 1:
-        raise ValueError(f"{path}: version: expected 1, got {doc.get('version')!r}")
+    version = doc.get("version")
+    if not _is_int(version) or version != 1:
+        raise ValueError(f"{path}: version: expected 1, got {version!r}")
     items = doc.get("tasks")
     if not isinstance(items, list):
         raise ValueError(f"{path}: tasks: expected a list")
@@ -65,7 +71,7 @@ def load_taskset(path: str) -> TaskSet:
         values = {}
         for name in _TASK_FIELDS:
             v = obj.get(name)
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not _is_int(v):
                 raise ValueError(f"{path}: tasks[{i}].{name}: expected an integer, got {v!r}")
             values[name] = v
         try:
@@ -130,9 +136,10 @@ def run_experiment(
     columns except the timing one are deterministic for a given seed.
 
     Raises:
-        ValueError: if sets < 1.
+        ValueError: if sets < 1 or cores < 1.
     """
-    _check_sets(sets)
+    _check_at_least_one("sets", sets)
+    _check_at_least_one("cores", cores)
     results = []
     for target in u_list:
         batch = [
@@ -167,9 +174,9 @@ def _out_stream(path: str | None):
             yield fh
 
 
-def _check_sets(sets: int) -> None:
-    if sets < 1:
-        raise ValueError(f"sets must be >= 1, got {sets}")
+def _check_at_least_one(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _parse_release(text: str):
@@ -301,7 +308,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    _check_sets(args.sets)
+    _check_at_least_one("sets", args.sets)
     scenario = Scenario(args.scenario)
     periods = _parse_period_grid(args.period_grid)
     for i in range(args.sets):
@@ -322,7 +329,8 @@ def cmd_generate(args) -> int:
 
 def cmd_experiment(args) -> int:
     # input errors here fail before any CSV is written
-    _check_sets(args.sets)
+    _check_at_least_one("sets", args.sets)
+    _check_at_least_one("cores", args.cores)
     scenario = Scenario(args.scenario)
     policies = _parse_policies(args.policy)
     u_list = _parse_u_list(args.u_list)

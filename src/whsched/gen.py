@@ -40,7 +40,7 @@ class GenSpec:
     def __post_init__(self):
         if self.tasks < 1:
             raise ValueError(f"tasks must be >= 1, got {self.tasks}")
-        if self.utilization <= 0:
+        if not self.utilization > 0:  # also rejects NaN
             raise ValueError(f"utilization must be > 0, got {self.utilization}")
         if self.window < 2:
             raise ValueError(f"window must be >= 2, got {self.window}")
@@ -67,11 +67,11 @@ def uunifast(n: int, total: float, seed: int = 0) -> list[float]:
     Raises:
         Infeasible: if total > n, or if UUNIFAST_MAX_ATTEMPTS draws in a
             row were discarded.
-        ValueError: if n < 1 or total <= 0.
+        ValueError: if n < 1, or total is not > 0 (NaN included).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if total <= 0:
+    if not total > 0:  # also rejects NaN
         raise ValueError(f"total utilization must be > 0, got {total}")
     if total > n:
         raise Infeasible(f"cannot pack utilization {total} into {n} tasks")

@@ -28,10 +28,6 @@ class HardTaskHasNoTransform(ValueError):
     """A (w, h) pattern was requested for a hard task."""
 
 
-class NotHighTolerance(ValueError):
-    """An equivalent hard task exists only for high tolerance tasks."""
-
-
 class ToleranceClass(Enum):
     HARD = "hard"
     LOW = "low"
@@ -148,24 +144,6 @@ class Task:
     @property
     def utilization(self) -> Fraction:
         return Fraction(self.wcet, self.period)
-
-
-def equivalent_task(task: Task) -> Task:
-    """Hard task whose releases match the jobs a high tolerance task must hit.
-
-    The (w, h) pattern of a high tolerance task has h = 1, so mandatory
-    jobs are at least (w + 1) periods apart: the equivalent hard task
-    keeps C and D and stretches the period to (w + 1) * T.
-
-    Raises:
-        NotHighTolerance: if the task is hard or low tolerance.
-    """
-    if classify(task.constraint) is not ToleranceClass.HIGH:
-        raise NotHighTolerance(
-            f"task {task.id} has constraint ({task.constraint.m}, {task.constraint.K})"
-        )
-    t = derive_wh(task.constraint)
-    return Task(task.id, task.wcet, task.deadline, (t.w + 1) * task.period, HARD_CONSTRAINT)
 
 
 def rank_key(task: Task) -> tuple[int, int, int]:

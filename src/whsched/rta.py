@@ -13,10 +13,12 @@ jobs that must hit: high tolerance tasks behave like hard tasks with the
 period stretched to (w + 1) T, low tolerance tasks drop one job per
 h + 1 released plus a carry-out correction.
 
-``baseline_workload`` and ``wh_workload`` spell these bounds out term by
-term.  ``analyze``, the one response-time entry point, evaluates the
-same arithmetic inline, on integer tuples compiled once per call in
-rank order, without building a ``WorkloadTerms`` per interferer.
+``analyze`` is the one response-time entry point.  It compiles the set
+once per call into integer tuples in rank order and evaluates every
+workload inline, so each rule has one home: the (w + 1) T stretch in
+``_compile``, the window offset in ``_term``, the h thinning and the
+carry-out in ``_bound``.  A term-by-term restatement that the tests
+compare the kernel against lives in ``tests/reference_rta.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import Task, TaskSet, ToleranceClass, classify, derive_wh, equivalent_task, rank_key
+from .model import Task, TaskSet, ToleranceClass, classify, derive_wh, rank_key
 from .priority import EmptyTaskSet
 
 
@@ -32,80 +34,6 @@ class InterferencePolicy(Enum):
     FIXED_PRIORITY_RM = "rm"
     GLOBAL_EDF = "edf"
     WEAKLY_HARD_JC0 = "wh"
-
-
-@dataclass(frozen=True, slots=True)
-class WorkloadTerms:
-    """Decomposed workload of one interfering task over a window.
-
-    jobs: contributing job count N (clamped at 0).
-    excluded: jobs dropped by the weakly-hard thinning, O <= N.
-    carry_out: 0 or 1, whether the residual job contributes.
-    residual: leftover window length r for the carry-out job.
-    total: the workload bound W.
-    """
-
-    jobs: int
-    excluded: int
-    carry_out: int
-    residual: int
-    total: int
-
-
-def baseline_workload(task: Task, rub: int, slack: int, window: int) -> WorkloadTerms:
-    """Workload bound of an interfering task over a window of length L.
-
-    Args:
-        task: the interfering task.
-        rub: the interfering task's own response-time upper bound.
-        slack: the interfering task's slack, max(D - Rub, 0).
-        window: the window length L.
-
-    N = max(0, floor(x / T)) jobs contribute fully, with
-    x = L + Rub - C - slack, plus one residual contribution
-    min(C, x - N T) clamped at 0.
-    """
-    x = window + rub - task.wcet - slack
-    n = x // task.period
-    if n < 0:
-        n = 0
-    r = x - n * task.period
-    if r < 0:
-        r = 0
-    total = n * task.wcet + min(task.wcet, r)
-    return WorkloadTerms(jobs=n, excluded=0, carry_out=1, residual=r, total=total)
-
-
-def wh_workload(task: Task, rub: int, slack: int, window: int) -> WorkloadTerms:
-    """Workload restricted to the jobs the task must complete.
-
-    Hard tasks keep the baseline bound.  High tolerance tasks are
-    replaced by their equivalent hard task (period (w + 1) T).  Low
-    tolerance tasks release with the original period but every
-    (h + 1)-th job is tolerable, so O = max(0, floor(x / (T (h + 1))))
-    jobs are excluded and the carry-out contribution is dropped whenever
-    the job count lands on the tolerable slot
-    (a = 1 - floor((N mod (h + 1)) / h)).
-    """
-    tol = classify(task.constraint)
-    if tol is ToleranceClass.HARD:
-        return baseline_workload(task, rub, slack, window)
-    if tol is ToleranceClass.HIGH:
-        return baseline_workload(equivalent_task(task), rub, slack, window)
-    t = derive_wh(task.constraint)
-    x = window + rub - task.wcet - slack
-    n = x // task.period
-    if n < 0:
-        n = 0
-    o = x // (task.period * (t.h + 1))
-    if o < 0:
-        o = 0
-    r = x - n * task.period
-    if r < 0:
-        r = 0
-    a = 1 - (n % (t.h + 1)) // t.h
-    total = (n - o) * task.wcet + a * min(task.wcet, r)
-    return WorkloadTerms(jobs=n, excluded=o, carry_out=a, residual=r, total=total)
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,8 +67,8 @@ _Term = tuple[int, int, int, int]
 
 
 def _compile(task: Task, policy: InterferencePolicy) -> _Compiled:
-    # mirrors wh_workload: high tolerance tasks use the equivalent hard
-    # task's period (w + 1) T, low tolerance tasks keep T and thin by h
+    # high tolerance tasks behave like hard tasks with period (w + 1) T,
+    # low tolerance tasks keep T and are thinned by h in _bound
     period, h = task.period, 0
     if policy is InterferencePolicy.WEAKLY_HARD_JC0:
         tol = classify(task.constraint)
@@ -158,12 +86,11 @@ def _term(wcet: int, period: int, h: int, rub: int, slack: int) -> _Term:
 def _bound(wcet: int, deadline: int, terms: list[_Term], cores: int) -> int:
     """Least fixed point of the busy-window recurrence, D + 1 once past D.
 
-    Each term's workload over the window L = Rub is the one of
-    baseline_workload / wh_workload, inlined: x = L + offset,
-    N = floor(x / P), r = x - N P.  Without thinning it is N C + min(C, r);
-    with thinning by h, floor(N / (h + 1)) whole jobs are excluded and
-    min(C, r) is dropped when N mod (h + 1) = h.  Nothing contributes
-    for x <= 0.
+    Each term's workload over the window L = Rub is computed inline:
+    x = L + offset, N = floor(x / P), r = x - N P.  Without thinning it
+    is N C + min(C, r); with thinning by h, floor(N / (h + 1)) whole
+    jobs are excluded and min(C, r) is dropped when N mod (h + 1) = h.
+    Nothing contributes for x <= 0.
     """
     rub = wcet
     while True:

@@ -49,6 +49,15 @@ class TestTasksetFiles:
         with pytest.raises(ValueError, match="version"):
             load_taskset(str(path))
 
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    def test_version_must_be_an_integer(self, tmp_path, version):
+        path = tmp_path / "v.json"
+        path.write_text(
+            f'{{"version": {version}, "tasks": [{{"id": 0, "C": 1, "D": 5, "T": 5, "m": 0, "K": 1}}]}}'
+        )
+        with pytest.raises(ValueError, match="version: expected 1"):
+            load_taskset(str(path))
+
     def test_missing_field_is_named(self, tmp_path):
         path = write_taskset(tmp_path / "m.json", [{"id": 0, "C": 1, "D": 5, "T": 5, "m": 1}])
         with pytest.raises(ValueError, match=r"tasks\[0\].K"):
@@ -300,6 +309,12 @@ class TestGenerate:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_nan_utilization(self, tmp_path, capsys):
+        assert main(["generate", "--tasks", "20", "--u", "nan", "--k", "5",
+                     "--scenario", "high", "--out", str(tmp_path / "x.json")]) == 2
+        assert "error: utilization must be > 0, got nan" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_period_grid_item(self, tmp_path, capsys):
         assert main(["generate", "--tasks", "3", "--u", "1.0", "--k", "5",
                      "--scenario", "high", "--period-grid", "10,x,25",
@@ -363,6 +378,16 @@ class TestExperiment:
         assert f"error: sets must be >= 1, got {sets}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cores_must_be_positive(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        args = list(self.ARGS)
+        args[args.index("--cores") + 1] = "0"
+        assert main(args + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: cores must be >= 1, got 0\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_bad_period_grid_item(self, capsys):
         args = list(self.ARGS)
         args[args.index("--period-grid") + 1] = "10,20,x"
@@ -393,3 +418,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="sets must be >= 1, got 0"):
             run_experiment(["rm"], Scenario.ALL_HIGH, tasks=3, cores=2, window=5,
                            sets=0, u_list=[1.0])
+
+    def test_cores_must_be_positive(self, monkeypatch):
+        def no_generation(spec):
+            raise AssertionError("generated a set before checking cores")
+
+        monkeypatch.setattr(cli, "make_taskset", no_generation)
+        with pytest.raises(ValueError, match="cores must be >= 1, got 0"):
+            run_experiment(["rm"], Scenario.ALL_HIGH, tasks=3, cores=0, window=5,
+                           sets=2, u_list=[1.0])

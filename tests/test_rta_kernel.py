@@ -1,33 +1,28 @@
-"""The compiled analysis kernel against a reference built on the public workload terms.
+"""The compiled analysis kernel against the term-by-term reference.
 
-``reference_analyze`` is the per-term loop of the analysis written
-directly on ``baseline_workload`` / ``wh_workload`` and the job-class
-table: every workload is a ``WorkloadTerms``, every interferer set is
-picked by priority.  ``analyze`` must return equal reports.
+``reference_analyze`` (``reference_rta.py``) runs the analysis per task
+on ``baseline_workload`` / ``wh_workload`` and picks ``wh`` interferers
+from the job-class table, sharing no arithmetic with the kernel in
+``whsched.rta``.  ``analyze`` must return equal reports.
 """
 
 import pytest
 
 from whsched import (
     AlwaysWcet,
-    AnalysisReport,
     GenSpec,
     InterferencePolicy,
     Scenario,
     SchedulingPolicy,
     SimConfig,
     Synchronous,
-    TaskReport,
     analyze,
     assign_priorities,
-    baseline_workload,
     check_trace,
     make_taskset,
     simulate,
-    wh_workload,
 )
-from whsched.model import rank_key
-
+from reference_rta import reference_analyze
 from test_rta import EXAMPLE
 
 RM = InterferencePolicy.FIXED_PRIORITY_RM
@@ -40,56 +35,6 @@ REPRODUCER = GenSpec(
     6, 1.4, 8, Scenario.ALL_LOW,
     periods=(10, 20, 25, 40, 50, 100, 125, 200, 250), seed=125439,
 )
-
-
-def _reference_response_time(task, ts, cores, policy, table, estimates):
-    if policy is EDF:
-        interferers = [t for t in ts if t.id != task.id]
-    elif policy is WH:
-        mine = table.jc0(task.id)
-        interferers = [t for t in ts if table.jc0(t.id) > mine]
-    else:
-        interferers = [t for t in ts if rank_key(t) < rank_key(task)]
-    workload = wh_workload if policy is WH else baseline_workload
-    rub = task.wcet
-    while True:
-        cap = rub - task.wcet + 1
-        budget = 0
-        for other in interferers:
-            orub, oslack = estimates[other.id]
-            budget += min(workload(other, orub, oslack, rub).total, cap)
-        nxt = task.wcet + budget // cores
-        if nxt > task.deadline:
-            return TaskReport(task.id, task.deadline + 1, 0, False)
-        if nxt == rub:
-            return TaskReport(task.id, rub, task.deadline - rub, True)
-        rub = nxt
-
-
-def reference_analyze(ts, cores, policy):
-    if policy is EDF:
-        estimates = {t.id: (t.deadline, 0) for t in ts}
-        prev_verdicts = None
-        for _ in range(2 * len(ts) + 4):
-            reports = {
-                t.id: _reference_response_time(t, ts, cores, policy, None, estimates)
-                for t in ts
-            }
-            new_estimates = {tid: (r.rub, r.slack) for tid, r in reports.items()}
-            verdicts = frozenset(tid for tid, r in reports.items() if r.schedulable)
-            if new_estimates == estimates or verdicts == prev_verdicts:
-                break
-            estimates = new_estimates
-            prev_verdicts = verdicts
-    else:
-        table = assign_priorities(ts) if policy is WH else None
-        estimates, reports = {}, {}
-        for t in sorted(ts, key=rank_key):
-            rep = _reference_response_time(t, ts, cores, policy, table, estimates)
-            reports[t.id] = rep
-            estimates[t.id] = (rep.rub, rep.slack)
-    entries = tuple(reports[t.id] for t in ts)
-    return AnalysisReport(entries, all(e.schedulable for e in entries), policy)
 
 
 def _generated():
