@@ -198,6 +198,9 @@ def _parse_u_list(text: str) -> list[float]:
         raise ValueError(f"bad utilization list {text!r}") from None
     if not values:
         raise ValueError("empty utilization list")
+    for u in values:
+        if not u > 0:
+            raise ValueError(f"bad utilization list {text!r}: every target must be > 0, got {u}")
     return values
 
 

@@ -173,8 +173,10 @@ def analyze(ts: TaskSet, cores: int, policy: InterferencePolicy) -> AnalysisRepo
 
     Raises:
         EmptyTaskSet: if the task set has no tasks.
-        ValueError: if cores < 1.
+        ValueError: if cores < 1, or policy is not an InterferencePolicy.
     """
+    if not isinstance(policy, InterferencePolicy):
+        raise ValueError(f"policy must be an InterferencePolicy, got {policy!r}")
     if len(ts) == 0:
         raise EmptyTaskSet("cannot analyze an empty task set")
     if cores < 1:

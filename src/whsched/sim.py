@@ -7,13 +7,27 @@ counts as a miss; a finished job counts as a hit at its deadline.  The
 job-class policy prices each job at release from the task's current job
 level, so one task's jobs move between priorities as hits and misses
 accumulate.  Everything is deterministic given the seeds.
+
+The event core touches only the state an event changes.  Ready jobs sit
+in a list sorted by one unique integer key per job (-priority, or the
+absolute deadline under EDF, then the task's position in id order);
+a release inserts with bisect and a finish or kill deletes, and the
+n_c running jobs are re-picked only when that list changed.  Deadlines
+wait in a heap of (deadline, release sequence, job), the next finish is
+the minimum over the running jobs alone, and releases are merged from
+one heap entry per task.  A task's release and execution times are
+drawn up front into a ``range`` (synchronous releases) or an
+``array('q')``.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush, heapreplace
 
 from .model import Task, TaskSet, derive_wh
 from .priority import JobClassTable, JobLevelState, advance_job_level, class_count
@@ -99,12 +113,13 @@ class Violation:
 
 class _Job:
     __slots__ = (
-        "task_id", "index", "release", "deadline", "class_index",
+        "task_id", "rank", "index", "release", "deadline", "class_index",
         "key", "remaining", "executed", "finish", "recorded",
     )
 
-    def __init__(self, task_id, index, release, deadline, class_index, key, exec_time, recorded):
+    def __init__(self, task_id, rank, index, release, deadline, class_index, key, exec_time, recorded):
         self.task_id = task_id
+        self.rank = rank
         self.index = index
         self.release = release
         self.deadline = deadline
@@ -116,10 +131,10 @@ class _Job:
         self.recorded = recorded
 
 
-def _release_times(task: Task, cfg: SimConfig, rng: random.Random) -> list[int]:
+def _release_times(task: Task, cfg: SimConfig, rng: random.Random) -> range | array:
     if isinstance(cfg.release, Synchronous):
-        return list(range(0, cfg.horizon, task.period))
-    times = []
+        return range(0, cfg.horizon, task.period)
+    times = array("q")
     t = 0
     while t < cfg.horizon:
         times.append(t)
@@ -127,19 +142,30 @@ def _release_times(task: Task, cfg: SimConfig, rng: random.Random) -> list[int]:
     return times
 
 
-def _exec_times(task: Task, count: int, cfg: SimConfig, rng: random.Random) -> list[int]:
+def _exec_times(task: Task, count: int, cfg: SimConfig, rng: random.Random) -> array:
     if isinstance(cfg.execution, AlwaysWcet):
-        return [task.wcet] * count
-    return [rng.randint(1, task.wcet) for _ in range(count)]
+        return array("q", [task.wcet]) * count
+    return array("q", [rng.randint(1, task.wcet) for _ in range(count)])
+
+
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
 
 
 def _validate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig) -> None:
+    _check_int("cores", cfg.cores)
+    _check_int("horizon", cfg.horizon)
     if cfg.cores < 1:
         raise InvalidConfig(f"cores must be >= 1, got {cfg.cores}")
     if cfg.horizon < 1:
         raise InvalidConfig(f"horizon must be >= 1, got {cfg.horizon}")
-    if isinstance(cfg.release, SporadicJitter) and cfg.release.max_jitter < 0:
-        raise InvalidConfig(f"max_jitter must be >= 0, got {cfg.release.max_jitter}")
+    if isinstance(cfg.release, SporadicJitter):
+        _check_int("max_jitter", cfg.release.max_jitter)
+        if cfg.release.max_jitter < 0:
+            raise InvalidConfig(f"max_jitter must be >= 0, got {cfg.release.max_jitter}")
+    if not isinstance(cfg.policy, SchedulingPolicy):
+        raise InvalidConfig(f"policy must be a SchedulingPolicy, got {cfg.policy!r}")
     if len(ts) == 0:
         raise InvalidConfig("cannot simulate an empty task set")
     if cfg.policy is not SchedulingPolicy.EDF:
@@ -168,8 +194,19 @@ def simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig) -> SimTra
         horizon whose deadline lies beyond it still execute (they
         interfere) but are not recorded.
 
-    Equal-priority EDF ties break toward the lower task id; job-class
-    and fixed priorities are unique by construction.
+    Raises:
+        InvalidConfig: for a non-integer or out-of-range cores, horizon
+            or max_jitter, a policy that is not a SchedulingPolicy, an
+            empty set, or a table that does not fit the set and policy.
+
+    Every release and execution time is drawn before the first event:
+    first the release stream, task by task in id order up to the
+    horizon, then the execution stream in the same order.  Within one
+    tick, finishes come first (in running order), then deadline expiries
+    (in release order, each advancing its task's job level), then
+    releases (in id order).  Equal-priority EDF ties break toward the
+    lower task id; job-class and fixed priorities break ties the same
+    way, though a table from ``assign_priorities`` has none.
     """
     _validate(ts, table, cfg)
 
@@ -178,95 +215,119 @@ def simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig) -> SimTra
     rng_rel = random.Random(rel_seed)
     rng_exe = random.Random(exe_seed)
 
+    # per task, in id order; a task's rank is its position here
     tasks = sorted(ts, key=lambda t: t.id)
-    releases: list[tuple[int, int, int, int]] = []  # (time, task id, job index, exec time)
-    for task in tasks:
-        times = _release_times(task, cfg, rng_rel)
-        execs = _exec_times(task, len(times), cfg, rng_exe)
-        for idx, (t, e) in enumerate(zip(times, execs)):
-            releases.append((t, task.id, idx, e))
-    releases.sort()
+    n = len(tasks)
+    release_times = [_release_times(task, cfg, rng_rel) for task in tasks]
+    exec_times = [
+        _exec_times(task, len(times), cfg, rng_exe)
+        for task, times in zip(tasks, release_times)
+    ]
+    transforms = [derive_wh(t.constraint) if t.constraint.m > 0 else None for t in tasks]
+    level_caps = [t.constraint.K - t.constraint.m for t in tasks]
+    levels = [JobLevelState.initial(tr) if tr else None for tr in transforms]
 
-    by_id = {task.id: task for task in tasks}
-    transforms = {
-        task.id: derive_wh(task.constraint) for task in tasks if task.constraint.m > 0
-    }
-    level_caps = {task.id: task.constraint.K - task.constraint.m for task in tasks}
-    levels = {tid: JobLevelState.initial(tr) for tid, tr in transforms.items()}
+    # integer ready keys, unique because C <= D <= T leaves at most one
+    # live job per task: -priority or deadline, then rank
+    edf = cfg.policy is SchedulingPolicy.EDF
+    class_keys: list[tuple[int, ...]] = []
+    if cfg.policy is SchedulingPolicy.JOB_CLASS:
+        class_keys = [
+            tuple(-p * n + r for p in table.priorities[t.id]) for r, t in enumerate(tasks)
+        ]
+    elif cfg.policy is SchedulingPolicy.RM:
+        class_keys = [
+            (-table.jc0(t.id) * n + r,) * class_count(t) for r, t in enumerate(tasks)
+        ]
 
     records: dict[int, list[JobRecord]] = {task.id: [] for task in tasks}
     outcomes: dict[int, list[int]] = {task.id: [] for task in tasks}
     events: list[tuple[int, str, int, int]] = []
 
-    def job_key(task_id: int, q: int, deadline: int):
-        if cfg.policy is SchedulingPolicy.JOB_CLASS:
-            return (-table.priority(task_id, q), task_id)
-        if cfg.policy is SchedulingPolicy.RM:
-            return (-table.jc0(task_id), task_id)
-        return (deadline, task_id)
-
-    INF = float("inf")
+    horizon = cfg.horizon
+    cores = cfg.cores
     now = 0
-    ptr = 0
-    live: list[_Job] = []
+    seq = 0
+    pending = [(0, r, 0) for r in range(n)]  # (next release, rank, job index); all start at 0
+    deadlines: list[tuple[int, int, _Job]] = []  # (deadline, release seq, job)
+    ready_keys: list[int] = []
+    ready: list[_Job] = []
     running: list[_Job] = []
 
     while True:
-        t_rel = releases[ptr][0] if ptr < len(releases) else INF
-        t_fin = min((now + j.remaining for j in running), default=INF)
-        t_dl = min((j.deadline for j in live), default=INF)
-        t = min(t_rel, t_fin, t_dl)
-        if t == INF or t > cfg.horizon:
+        t = pending[0][0] if pending else horizon + 1
+        if deadlines and deadlines[0][0] < t:
+            t = deadlines[0][0]
+        for j in running:
+            if now + j.remaining < t:
+                t = now + j.remaining
+        if t > horizon:
             break
-        dt = int(t) - now
+        dt = t - now
         if dt:
             for j in running:
                 j.remaining -= dt
                 j.executed += dt
-            now = int(t)
+            now = t
 
-        for j in running:
-            if j.remaining == 0 and j.finish is None:
+        changed = False
+        # running is a prefix of ready, so running[i] sits at ready[i - done]
+        done = 0
+        for i, j in enumerate(running):
+            if not j.remaining:
                 j.finish = now
                 events.append((now, "finish", j.task_id, j.index))
+                del ready_keys[i - done], ready[i - done]
+                done += 1
+                changed = True
 
         # deadline checks come after completions so a job finishing
         # exactly at its deadline counts as a hit
-        expired = [j for j in live if j.deadline == now]
-        for j in expired:
+        while deadlines and deadlines[0][0] == now:
+            j = heappop(deadlines)[2]
             hit = j.finish is not None
             if not hit:
                 events.append((now, "kill", j.task_id, j.index))
+                i = bisect_left(ready_keys, j.key)
+                del ready_keys[i], ready[i]
+                changed = True
             if j.recorded:
                 outcomes[j.task_id].append(1 if hit else 0)
                 records[j.task_id].append(JobRecord(
                     j.task_id, j.release, j.deadline, j.class_index,
                     j.executed, j.finish, "hit" if hit else "miss",
                 ))
-            if j.task_id in transforms:
-                levels[j.task_id] = advance_job_level(
-                    levels[j.task_id], transforms[j.task_id], level_caps[j.task_id], hit
-                )
-            live.remove(j)
+            state = levels[j.rank]
+            if state is not None:
+                levels[j.rank] = advance_job_level(state, transforms[j.rank], level_caps[j.rank], hit)
 
-        while ptr < len(releases) and releases[ptr][0] == now:
-            _, tid, idx, exec_time = releases[ptr]
-            ptr += 1
-            task = by_id[tid]
-            q = levels[tid].class_index if tid in transforms else 0
-            deadline = now + task.deadline
+        while pending and pending[0][0] == now:
+            _, r, idx = pending[0]
+            times = release_times[r]
+            if idx + 1 < len(times):
+                heapreplace(pending, (times[idx + 1], r, idx + 1))
+            else:
+                heappop(pending)
+            state = levels[r]
+            q = state.class_index if state is not None else 0
+            deadline = now + tasks[r].deadline
+            key = deadline * n + r if edf else class_keys[r][q]
             job = _Job(
-                tid, idx, now, deadline, q,
-                job_key(tid, q, deadline), exec_time, deadline <= cfg.horizon,
+                tasks[r].id, r, idx, now, deadline, q,
+                key, exec_times[r][idx], deadline <= horizon,
             )
-            live.append(job)
-            events.append((now, "release", tid, idx))
+            i = bisect_left(ready_keys, key)
+            ready_keys.insert(i, key)
+            ready.insert(i, job)
+            heappush(deadlines, (deadline, seq, job))
+            seq += 1
+            events.append((now, "release", job.task_id, idx))
+            changed = True
 
-        ready = [j for j in live if j.finish is None]
-        ready.sort(key=lambda j: j.key)
-        running = ready[:cfg.cores]
+        if changed:
+            running = ready[:cores]
 
-    return SimTrace(records=records, outcomes=outcomes, events=events, horizon=cfg.horizon)
+    return SimTrace(records=records, outcomes=outcomes, events=events, horizon=horizon)
 
 
 def check_trace(trace: SimTrace, ts: TaskSet) -> list[Violation]:

@@ -378,6 +378,19 @@ class TestExperiment:
         assert f"error: sets must be >= 1, got {sets}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "0", "-1"])
+    def test_u_list_targets_must_be_positive(self, tmp_path, capsys, bad):
+        # rejected while parsing, before the valid 1.0 batch prints a row
+        args = list(self.ARGS)
+        args[args.index("--u-list") + 1] = f"1.0,{bad}"
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"every target must be > 0, got {float(bad)}" in captured.err
+        out = tmp_path / "u.csv"
+        assert main(args + ["--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_cores_must_be_positive(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         args = list(self.ARGS)

@@ -169,6 +169,15 @@ class TestResponseTime:
         with pytest.raises(ValueError):
             analyze(EXAMPLE, 0, RM)
 
+    @pytest.mark.parametrize("policy", ["wh", "rm", None])
+    def test_policy_must_be_a_member(self, policy):
+        # "wh" used to run the fixed-priority baseline, which refuses this
+        # set (task 0: rub 462) where the wh analysis accepts it (rub 354)
+        ts = make_taskset(GenSpec(8, 2.6, 5, Scenario.ALL_HIGH, seed=3))
+        assert analyze(ts, 2, WH).set_schedulable
+        with pytest.raises(ValueError, match=repr(policy)):
+            analyze(ts, 2, policy)
+
     def test_verdict_consistent_with_deadline(self):
         for policy in (RM, EDF, WH):
             report = analyze(EXAMPLE, 1, policy)

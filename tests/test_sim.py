@@ -198,6 +198,30 @@ class TestValidation:
         with pytest.raises(InvalidConfig):
             simulate(ts, table, cfg(release=SporadicJitter(max_jitter=-1)))
 
+    @pytest.mark.parametrize("kw", [
+        dict(cores=True),
+        dict(cores=1.5),
+        dict(horizon=100.0),
+        dict(horizon=100.5, release=SporadicJitter(max_jitter=2)),
+        dict(horizon=True),
+        dict(release=SporadicJitter(max_jitter=2.5)),
+        dict(release=SporadicJitter(max_jitter=True)),
+    ], ids=[
+        "cores-bool", "cores-float", "horizon-float", "horizon-fraction-jitter",
+        "horizon-bool", "jitter-float", "jitter-bool",
+    ])
+    def test_parameters_must_be_integers(self, kw):
+        ts = TaskSet((task(0),))
+        with pytest.raises(InvalidConfig, match="must be an integer"):
+            simulate(ts, assign_priorities(ts), cfg(**kw))
+
+    @pytest.mark.parametrize("policy", ["rm", "job-class", "edf", None])
+    def test_policy_must_be_a_member(self, policy):
+        # "rm" used to fall through to the deadline key and run EDF
+        ts = TaskSet((task(0, 2, 5, 5), task(1, 2, 6, 6), task(2, 3, 7, 7)))
+        with pytest.raises(InvalidConfig, match=repr(policy)):
+            simulate(ts, assign_priorities(ts), cfg(horizon=300, policy=policy))
+
     def test_empty_set(self):
         with pytest.raises(InvalidConfig):
             simulate(TaskSet(()), None, cfg(policy=SchedulingPolicy.EDF))
