@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -323,8 +324,9 @@ def cmd_generate(args) -> int:
         if args.sets == 1:
             path = args.out
         else:
-            stem, dot, suffix = args.out.rpartition(".")
-            path = f"{stem}_{i:03d}.{suffix}" if dot else f"{args.out}_{i:03d}"
+            # only the file name's extension moves behind the number
+            stem, suffix = os.path.splitext(args.out)
+            path = f"{stem}_{i:03d}{suffix}"
         save_taskset(ts, path)
         print(path)
     return 0

@@ -18,6 +18,15 @@ the minimum over the running jobs alone, and releases are merged from
 one heap entry per task.  A task's release and execution times are
 drawn up front into a ``range`` (synchronous releases) or an
 ``array('q')``.
+
+Per job, the simulator avoids three costs without changing a trace.
+Each task's job level is a state number in a lazily filled transition
+table whose entries come from ``advance_job_level``, so a deadline is
+one list lookup and no new ``JobLevelState``.  Records are built
+through the ``JobRecord`` slot descriptors, skipping the frozen
+dataclass ``__init__``.  Integer draws inline ``randint``'s rejection
+loop over ``getrandbits``, so they give the same values and leave the
+generator in the same state.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush, heapreplace
 
-from .model import Task, TaskSet, derive_wh
+from .model import MKTransform, Task, TaskSet, derive_wh
 from .priority import JobClassTable, JobLevelState, advance_job_level, class_count
 
 
@@ -131,21 +140,110 @@ class _Job:
         self.recorded = recorded
 
 
+# ``randint(lo, lo + width - 1)`` is ``lo`` plus CPython's rejection
+# loop: draw ``width.bit_length()`` bits until the value is below
+# ``width``.  Both draws inline that loop.
 def _release_times(task: Task, cfg: SimConfig, rng: random.Random) -> range | array:
     if isinstance(cfg.release, Synchronous):
         return range(0, cfg.horizon, task.period)
     times = array("q")
+    append = times.append
+    getrandbits = rng.getrandbits
+    width = cfg.release.max_jitter + 1
+    bits = width.bit_length()
+    horizon = cfg.horizon
+    period = task.period
     t = 0
-    while t < cfg.horizon:
-        times.append(t)
-        t += task.period + rng.randint(0, cfg.release.max_jitter)
+    while t < horizon:
+        append(t)
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        t += period + r
     return times
 
 
 def _exec_times(task: Task, count: int, cfg: SimConfig, rng: random.Random) -> array:
     if isinstance(cfg.execution, AlwaysWcet):
         return array("q", [task.wcet]) * count
-    return array("q", [rng.randint(1, task.wcet) for _ in range(count)])
+    times = array("q")
+    append = times.append
+    getrandbits = rng.getrandbits
+    width = task.wcet
+    bits = width.bit_length()
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        append(r + 1)
+    return times
+
+
+def _record_builder():
+    """Return a JobRecord constructor that sets the slots directly.
+
+    The frozen ``__init__`` goes through ``object.__setattr__`` per
+    field, at about twice the cost.  JobRecord has no ``__post_init__``,
+    so no check is skipped.
+    """
+    new = object.__new__
+    fields = JobRecord.__dict__
+    set_task_id = fields["task_id"].__set__
+    set_release = fields["release"].__set__
+    set_deadline = fields["deadline"].__set__
+    set_class_index = fields["class_index"].__set__
+    set_executed = fields["executed"].__set__
+    set_finish = fields["finish"].__set__
+    set_outcome = fields["outcome"].__set__
+
+    def record(task_id, release, deadline, class_index, executed, finish, outcome):
+        rec = new(JobRecord)
+        set_task_id(rec, task_id)
+        set_release(rec, release)
+        set_deadline(rec, deadline)
+        set_class_index(rec, class_index)
+        set_executed(rec, executed)
+        set_finish(rec, finish)
+        set_outcome(rec, outcome)
+        return rec
+
+    return record
+
+
+_record = _record_builder()
+
+
+class _LevelTable:
+    """One task's job-level automaton as a lazily filled transition table.
+
+    States are interned ``JobLevelState``s numbered from 0 (the initial
+    state); ``class_index[s]`` is state s's class and ``nxt[2 * s + hit]``
+    the number of the state after a miss (hit = 0) or a hit (hit = 1),
+    or -1 until ``step`` has asked ``advance_job_level`` once.  Only the
+    states a trace reaches are ever built.
+    """
+
+    __slots__ = ("transform", "level_cap", "states", "ids", "class_index", "nxt")
+
+    def __init__(self, transform: MKTransform, level_cap: int):
+        start = JobLevelState.initial(transform)
+        self.transform = transform
+        self.level_cap = level_cap
+        self.states = [start]
+        self.ids = {start: 0}
+        self.class_index = [start.class_index]
+        self.nxt = [-1, -1]
+
+    def step(self, s: int, hit: bool) -> int:
+        state = advance_job_level(self.states[s], self.transform, self.level_cap, hit)
+        t = self.ids.get(state)
+        if t is None:
+            t = self.ids[state] = len(self.states)
+            self.states.append(state)
+            self.class_index.append(state.class_index)
+            self.nxt += (-1, -1)
+        self.nxt[2 * s + hit] = t
+        return t
 
 
 def _check_int(name: str, value) -> None:
@@ -201,7 +299,12 @@ def simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig) -> SimTra
 
     Every release and execution time is drawn before the first event:
     first the release stream, task by task in id order up to the
-    horizon, then the execution stream in the same order.  Within one
+    horizon, then the execution stream in the same order.  Each draw
+    equals ``randint(0, max_jitter)`` or ``randint(1, wcet)`` on the
+    stream and leaves it in the same state.  A task's job level moves
+    through its transition table exactly as through
+    ``advance_job_level``, and every record is an ordinary, frozen
+    ``JobRecord``, equal to one built by its constructor.  Within one
     tick, finishes come first (in running order), then deadline expiries
     (in release order, each advancing its task's job level), then
     releases (in id order).  Equal-priority EDF ties break toward the
@@ -223,9 +326,16 @@ def simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig) -> SimTra
         _exec_times(task, len(times), cfg, rng_exe)
         for task, times in zip(tasks, release_times)
     ]
-    transforms = [derive_wh(t.constraint) if t.constraint.m > 0 else None for t in tasks]
-    level_caps = [t.constraint.K - t.constraint.m for t in tasks]
-    levels = [JobLevelState.initial(tr) if tr else None for tr in transforms]
+    # job levels as state numbers into each task's table; a hard task
+    # stays in its one class-0 state, so it needs no table
+    tables = [
+        _LevelTable(derive_wh(t.constraint), t.constraint.K - t.constraint.m)
+        if t.constraint.m > 0 else None
+        for t in tasks
+    ]
+    level_nxt = [tab.nxt if tab else [0, 0] for tab in tables]
+    level_class = [tab.class_index if tab else [0] for tab in tables]
+    levels = [0] * n
 
     # integer ready keys, unique because C <= D <= T leaves at most one
     # live job per task: -priority or deadline, then rank
@@ -293,13 +403,13 @@ def simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig) -> SimTra
                 changed = True
             if j.recorded:
                 outcomes[j.task_id].append(1 if hit else 0)
-                records[j.task_id].append(JobRecord(
+                records[j.task_id].append(_record(
                     j.task_id, j.release, j.deadline, j.class_index,
                     j.executed, j.finish, "hit" if hit else "miss",
                 ))
-            state = levels[j.rank]
-            if state is not None:
-                levels[j.rank] = advance_job_level(state, transforms[j.rank], level_caps[j.rank], hit)
+            r = j.rank
+            s = level_nxt[r][2 * levels[r] + hit]
+            levels[r] = s if s >= 0 else tables[r].step(levels[r], hit)
 
         while pending and pending[0][0] == now:
             _, r, idx = pending[0]
@@ -308,8 +418,7 @@ def simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig) -> SimTra
                 heapreplace(pending, (times[idx + 1], r, idx + 1))
             else:
                 heappop(pending)
-            state = levels[r]
-            q = state.class_index if state is not None else 0
+            q = level_class[r][levels[r]]
             deadline = now + tasks[r].deadline
             key = deadline * n + r if edf else class_keys[r][q]
             job = _Job(

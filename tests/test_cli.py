@@ -293,6 +293,19 @@ class TestGenerate:
         for ts in sets:
             assert all(t.period in (10, 20, 25) for t in ts)
 
+    @pytest.mark.parametrize("out", ["./sets", "v1.0/sets"])
+    def test_multiple_files_dot_in_directory(self, tmp_path, monkeypatch, capsys, out):
+        # a dot before the last path component is not an extension
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "v1.0").mkdir()
+        code = main(["generate", "--tasks", "3", "--u", "1.0", "--k", "5",
+                     "--scenario", "high", "--sets", "2", "--seed", "1",
+                     "--out", out])
+        assert code == 0
+        assert capsys.readouterr().out.split() == [f"{out}_000", f"{out}_001"]
+        for path in (f"{out}_000", f"{out}_001"):
+            assert len(load_taskset(path)) == 3
+
     def test_infeasible_target(self, tmp_path, capsys):
         assert main(["generate", "--tasks", "2", "--u", "3.0", "--k", "5",
                      "--scenario", "low", "--out", str(tmp_path / "x.json")]) == 2

@@ -1,9 +1,13 @@
+import dataclasses
+import pickle
+
 import pytest
 
 from whsched import (
     AlwaysWcet,
     InvalidConfig,
     JobLevelState,
+    JobRecord,
     SchedulingPolicy,
     SimConfig,
     SporadicJitter,
@@ -90,6 +94,25 @@ class TestJobClassAlternation:
         assert starved.outcome == "miss"
         assert starved.finish is None
         assert starved.executed < PAIR.task(1).wcet
+
+
+class TestRecords:
+    # records are built without the dataclass __init__; they must still
+    # be ordinary JobRecords, a hit with a finish and a kill with None
+    @pytest.mark.parametrize("pos", [0, 1])
+    def test_simulated_records_are_job_records(self, pos):
+        trace = simulate(PAIR, PAIR_TABLE, cfg(policy=SchedulingPolicy.RM))
+        rec = trace.records[pos][0]
+        fields = tuple(getattr(rec, f.name) for f in dataclasses.fields(JobRecord))
+        built = JobRecord(*fields)
+        assert type(rec) is JobRecord
+        assert rec == built and hash(rec) == hash(built)
+        assert repr(rec) == repr(built)
+        assert repr(rec).startswith(f"JobRecord(task_id={rec.task_id}, release=")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.outcome = "hit"
+        assert pickle.loads(pickle.dumps(rec)) == rec
+        assert not hasattr(rec, "__dict__")
 
 
 class TestEdfPolicy:

@@ -3,8 +3,10 @@
 ``reference_simulate`` (``reference_sim.py``) rescans every live job at
 every event and re-sorts the ready set by a tuple key.  ``simulate``
 must return an equal ``SimTrace``: the same records, outcome bits, event
-log and horizon, on random sets under every policy and model, and on
-hand-made sets that pin the order of events within one tick.
+log and horizon, on random sets under every policy and model, on sets
+with K up to 50 that walk deep into each task's job-level table, and on
+hand-made sets that pin the order of events within one tick.  The
+inlined integer draws are checked against ``Random.randint`` directly.
 """
 
 import random
@@ -13,6 +15,7 @@ import pytest
 
 from whsched import (
     AlwaysWcet,
+    JobLevelState,
     SchedulingPolicy,
     SimConfig,
     SporadicJitter,
@@ -21,9 +24,12 @@ from whsched import (
     TaskSet,
     UniformUpToWcet,
     WeaklyHardConstraint,
+    advance_job_level,
     assign_priorities,
+    derive_wh,
     simulate,
 )
+from whsched.sim import _exec_times, _release_times
 from reference_sim import reference_simulate
 
 EDF = SchedulingPolicy.EDF
@@ -90,6 +96,114 @@ def test_configuration_coverage():
     assert any(
         len(ts) > cores and 3 * ts.hyperperiod == horizon for _, ts, cores, horizon in CONFIGS
     )
+
+
+LARGE_K_MODELS = {
+    "jitter3-uniform": (SporadicJitter(max_jitter=3), UniformUpToWcet()),
+    "jitter1-wcet": (SporadicJitter(max_jitter=1), AlwaysWcet()),
+    "sync-uniform": (Synchronous(), UniformUpToWcet()),
+}
+LARGE_K_SETS = 10
+LARGE_K_HORIZON = 997
+
+
+def _large_k_set(rng: random.Random) -> TaskSet:
+    # the first task has K = 50; odd positions are high tolerance
+    # (m > K - m, so w > 1 once m >= 2(K - m)), even ones low tolerance
+    # (m <= K / 4, so h > 1)
+    n = rng.randint(2, 6)
+    ids = rng.sample(range(3 * n), n)
+    tasks = []
+    for i, tid in enumerate(ids):
+        t = rng.choice(PERIODS)
+        d = rng.randint(1, t)
+        k = 50 if i == 0 else rng.randint(2, 50)
+        if i % 2:
+            m = rng.randint(k // 2 + 1, k - 1) if k > 2 else 1
+        else:
+            m = rng.randint(1, max(1, k // 4))
+        tasks.append(task(tid, rng.randint(1, d), d, t, m, k))
+    return TaskSet(tuple(tasks))
+
+
+LARGE_K_CONFIGS = [
+    (s, _large_k_set(random.Random(1000 + s)), 1 + s % 3) for s in range(LARGE_K_SETS)
+]
+
+
+def _level_coverage(ts, trace) -> set[str]:
+    """Which corners of the job-level automaton the trace's outcomes reach.
+
+    "cap": a hit lifts the level to K - m; "w-reset": w > 1 misses in a
+    row drop a positive level back to the initial state; "h>1": a task
+    whose initial level is negative climbs to a class above 0.
+    """
+    seen = set()
+    for tk in ts:
+        c = tk.constraint
+        transform = derive_wh(c)
+        cap = c.K - c.m
+        state = JobLevelState.initial(transform)
+        for bit in trace.outcomes[tk.id]:
+            nxt = advance_job_level(state, transform, cap, bool(bit))
+            if nxt.level == cap > state.level:
+                seen.add("cap")
+            if not bit and transform.w > 1 and state.level > 0 and state.miss_streak + 1 == transform.w:
+                seen.add("w-reset")
+            if transform.h > 1 and nxt.class_index > 0:
+                seen.add("h>1")
+            state = nxt
+    return seen
+
+
+@pytest.mark.parametrize("model", LARGE_K_MODELS)
+@pytest.mark.parametrize("policy", list(SchedulingPolicy), ids=lambda p: p.value)
+def test_kernel_matches_reference_at_large_k(policy, model):
+    release, execution = LARGE_K_MODELS[model]
+    seen = set()
+    for seed, ts, cores in LARGE_K_CONFIGS:
+        table = None if policy is EDF else assign_priorities(ts)
+        cfg = SimConfig(cores, LARGE_K_HORIZON, policy, release, execution, seed)
+        seen |= _level_coverage(ts, same_trace(ts, table, cfg))
+    assert seen == {"cap", "w-reset", "h>1"}
+
+
+def test_large_k_configuration_coverage():
+    assert all(ts.tasks[0].constraint.K == 50 for _, ts, _ in LARGE_K_CONFIGS)
+    assert {c for _, _, c in LARGE_K_CONFIGS} == {1, 2, 3}
+
+
+DRAW_WIDTHS = (1, 2, 3, 4, 5, 8, 9, 26, 64, 65, 1000)
+DRAW_SEEDS = (0, 1, 7, 12345, 2**40 + 3)
+
+
+@pytest.mark.parametrize("width", DRAW_WIDTHS)
+def test_release_draws_equal_randint(width):
+    # max_jitter = width - 1, so width 1 is max_jitter 0; the horizon
+    # leaves room for about 200 draws
+    tk = task(0, 1, 3, 3)
+    cfg = SimConfig(1, 200 * (3 + width), SchedulingPolicy.RM, SporadicJitter(max_jitter=width - 1))
+    for seed in DRAW_SEEDS:
+        rng, ref = random.Random(seed), random.Random(seed)
+        expected, t = [], 0
+        while t < cfg.horizon:
+            expected.append(t)
+            t += tk.period + ref.randint(0, width - 1)
+        assert list(_release_times(tk, cfg, rng)) == expected
+        # the generator is left where randint leaves it
+        assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("width", DRAW_WIDTHS)
+def test_exec_draws_equal_randint(width):
+    # wcet = width, so width 1 is wcet 1
+    tk = task(0, width, width, width)
+    cfg = SimConfig(1, 500, SchedulingPolicy.RM, execution=UniformUpToWcet())
+    for seed in DRAW_SEEDS:
+        rng, ref = random.Random(seed), random.Random(seed)
+        expected = [ref.randint(1, width) for _ in range(200)]
+        assert list(_exec_times(tk, 200, cfg, rng)) == expected
+        assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("policy", list(SchedulingPolicy), ids=lambda p: p.value)
