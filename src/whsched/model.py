@@ -10,6 +10,7 @@ followed by up to w jobs that may miss.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,25 +35,35 @@ class ToleranceClass(Enum):
     HIGH = "high"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WeaklyHardConstraint:
     """At most ``m`` deadline misses in any ``K`` consecutive jobs."""
 
     m: int
     K: int
 
-    def __post_init__(self):
-        if self.K < 1:
-            raise InvalidConstraint(f"K must be >= 1, got K={self.K}")
-        if not 0 <= self.m < self.K:
-            raise InvalidConstraint(f"need 0 <= m < K, got m={self.m}, K={self.K}")
-        if self.m == 0 and self.K != 1:
-            raise InvalidConstraint(f"hard tasks are encoded as (0, 1), got (0, {self.K})")
+    def __init__(self, m: int, K: int):
+        if K < 1:
+            raise InvalidConstraint(f"K must be >= 1, got K={K}")
+        if not 0 <= m < K:
+            raise InvalidConstraint(f"need 0 <= m < K, got m={m}, K={K}")
+        if m == 0 and K != 1:
+            raise InvalidConstraint(f"hard tasks are encoded as (0, 1), got (0, {K})")
+        _set_m(self, m)
+        _set_K(self, K)
 
     @property
     def miss_ratio(self) -> Fraction:
         return Fraction(self.m, self.K)
 
+
+# The value types set their slots through the slot descriptors: the
+# generated frozen __init__ and __post_init__ go through
+# object.__setattr__ per field, at about twice the cost, and the (m, K)
+# grid builds these by the hundred thousand.  Equality, hashing, repr,
+# frozen-ness and pickling are still the dataclass's own.
+_set_m = WeaklyHardConstraint.__dict__["m"].__set__
+_set_K = WeaklyHardConstraint.__dict__["K"].__set__
 
 HARD_CONSTRAINT = WeaklyHardConstraint(0, 1)
 
@@ -64,27 +75,39 @@ def classify(constraint: WeaklyHardConstraint) -> ToleranceClass:
     (m/K < 1/2), high tolerance for at least half (m/K >= 1/2).  The
     boundary is decided in integer arithmetic (2m vs K), never floats.
     """
-    if constraint.m == 0:
-        return ToleranceClass.HARD
-    if 2 * constraint.m < constraint.K:
-        return ToleranceClass.LOW
-    return ToleranceClass.HIGH
+    m = constraint.m
+    if m == 0:
+        return _HARD
+    if 2 * m < constraint.K:
+        return _LOW
+    return _HIGH
 
 
-@dataclass(frozen=True, slots=True)
+# module constants: an Enum member read through its class costs about
+# ten times a global read
+_HARD, _LOW, _HIGH = ToleranceClass.HARD, ToleranceClass.LOW, ToleranceClass.HIGH
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class MKTransform:
     """Execution pattern: ``h`` hits, then up to ``w`` tolerated misses."""
 
     w: int
     h: int
 
-    def __post_init__(self):
-        if self.w < 1 or self.h < 1:
-            raise InvalidConstraint(f"need w >= 1 and h >= 1, got w={self.w}, h={self.h}")
+    def __init__(self, w: int, h: int):
+        if w < 1 or h < 1:
+            raise InvalidConstraint(f"need w >= 1 and h >= 1, got w={w}, h={h}")
+        _set_w(self, w)
+        _set_h(self, h)
 
     @property
     def length(self) -> int:
         return self.w + self.h
+
+
+_set_w = MKTransform.__dict__["w"].__set__
+_set_h = MKTransform.__dict__["h"].__set__
 
 
 def derive_wh(constraint: WeaklyHardConstraint) -> MKTransform:
@@ -103,7 +126,13 @@ def derive_wh(constraint: WeaklyHardConstraint) -> MKTransform:
     w = m // hits
     if w < 1:
         w = 1
-    h = -(-hits // m)  # ceil
+    return _transform(w, -(-hits // m))  # h = ceil(hits / m)
+
+
+@functools.lru_cache(maxsize=4096)
+def _transform(w: int, h: int) -> MKTransform:
+    # few distinct (w, h) occur, and a cache hit costs about half a new
+    # frozen object; transforms are immutable, so sharing one is safe
     return MKTransform(w, h)
 
 
@@ -119,7 +148,7 @@ def harder_than(a: int, b: int, p: int, q: int) -> bool:
     """
     if b < 1 or q < 1 or not 0 <= a <= b or not 0 <= p <= q:
         raise InvalidConstraint(f"bad hit constraints ({a}, {b}) vs ({p}, {q})")
-    return p <= max((q // b) * a, q + (-(-q // b)) * (a - b))
+    return p <= (q // b) * a or p <= q + (-(-q // b)) * (a - b)
 
 
 @dataclass(frozen=True, slots=True)

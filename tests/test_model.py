@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -41,6 +43,42 @@ class TestWeaklyHardConstraint:
 
     def test_miss_ratio_exact(self):
         assert mk(2, 5).miss_ratio == Fraction(2, 5)
+
+
+class TestValueSemantics:
+    # both types build their slots by hand; they must still behave as
+    # the frozen dataclasses they are declared as
+    @pytest.mark.parametrize("value,fields,text", [
+        (mk(2, 5), (2, 5), "WeaklyHardConstraint(m=2, K=5)"),
+        (MKTransform(3, 1), (3, 1), "MKTransform(w=3, h=1)"),
+        (derive_wh(mk(8, 10)), (4, 1), "MKTransform(w=4, h=1)"),
+    ])
+    def test_dataclass_behaviour(self, value, fields, text):
+        cls = type(value)
+        assert dataclasses.astuple(value) == fields
+        assert value == cls(*fields) and hash(value) == hash(cls(*fields))
+        assert repr(value) == text
+        assert pickle.loads(pickle.dumps(value)) == value
+        name = dataclasses.fields(cls)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, fields[0])
+        assert dataclasses.replace(value) == value
+
+    def test_keywords_and_replace_validate(self):
+        assert WeaklyHardConstraint(K=5, m=2) == mk(2, 5)
+        assert MKTransform(h=2, w=1) == MKTransform(1, 2)
+        with pytest.raises(InvalidConstraint, match="need 0 <= m < K"):
+            dataclasses.replace(mk(2, 5), m=5)
+        with pytest.raises(InvalidConstraint, match="need w >= 1"):
+            dataclasses.replace(MKTransform(1, 2), w=0)
+
+    def test_messages(self):
+        with pytest.raises(InvalidConstraint, match=r"K must be >= 1, got K=0"):
+            mk(0, 0)
+        with pytest.raises(InvalidConstraint, match=r"got m=3, K=3"):
+            mk(3, 3)
+        with pytest.raises(InvalidConstraint, match=r"encoded as \(0, 1\), got \(0, 5\)"):
+            mk(0, 5)
 
 
 class TestClassify:
