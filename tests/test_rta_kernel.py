@@ -6,8 +6,11 @@ from the job-class table, sharing no arithmetic with the kernel in
 ``whsched.rta``.  ``analyze`` must return equal reports.
 """
 
+import collections
+
 import pytest
 
+from whsched import rta
 from whsched import (
     AlwaysWcet,
     GenSpec,
@@ -22,6 +25,7 @@ from whsched import (
     make_taskset,
     simulate,
 )
+import reference_rta
 from reference_rta import reference_analyze
 from test_rta import EXAMPLE
 
@@ -64,6 +68,69 @@ def test_kernel_matches_reference_on_generated_sets(policy):
         accepted += report.set_schedulable
     # the spread reaches both verdicts
     assert 0 < accepted < len(GENERATED)
+
+
+# the sets of the ratio experiment: 20 tasks on 4 cores, K = 5, all
+# high tolerance, from the light end where every bound holds to the
+# heavy end where every bound fails in the first round
+SWEEP_SHAPED = [
+    GenSpec(20, u, 5, Scenario.ALL_HIGH, seed=(round(10 * u) << 8) ^ i)
+    for u in (2.0, 2.4, 2.8, 3.2, 3.6, 4.0, 4.4)
+    for i in range(3)
+]
+
+# its EDF rounds fall into a 2-cycle from round 3 and never settle, so
+# the reference runs all 2n + 4 = 44 rounds
+CYCLE = GenSpec(20, 2.8, 5, Scenario.ALL_HIGH, seed=(99 << 8) ^ 1)
+
+
+@pytest.fixture
+def bound_calls(monkeypatch):
+    """Count the kernel's bounds from scratch and from a warm start, and
+    the reference's bounds, which recompute every task in every round."""
+    calls = collections.Counter()
+    bound = rta._bound
+    reference = reference_rta._reference_response_time
+
+    def counted_bound(wcet, deadline, terms, cores, rub):
+        # a bound from scratch starts at the first step from C: C plus
+        # the number of terms with x = C + offset > 0, over the cores
+        first = wcet + sum(offset > -wcet for *_, offset in terms) // cores
+        calls["cold" if rub == first else "warm"] += 1
+        return bound(wcet, deadline, terms, cores, rub)
+
+    def counted_reference(*args):
+        calls["reference"] += 1
+        return reference(*args)
+
+    monkeypatch.setattr(rta, "_bound", counted_bound)
+    monkeypatch.setattr(reference_rta, "_reference_response_time", counted_reference)
+    return calls
+
+
+def test_edf_matches_reference_on_sweep_shaped_sets(bound_calls):
+    skipped = warm = 0
+    for spec in SWEEP_SHAPED:
+        ts = make_taskset(spec)
+        bound_calls.clear()
+        report = analyze(ts, 4, EDF)
+        assert report == reference_analyze(ts, 4, EDF), spec
+        # both run the same rounds; a bound the kernel did not compute
+        # is a failure carried over because no interferer's Rub fell
+        kernel = bound_calls["cold"] + bound_calls["warm"]
+        assert kernel <= bound_calls["reference"], spec
+        skipped += bound_calls["reference"] - kernel
+        warm += bound_calls["warm"]
+    assert skipped > 0 and warm > 0
+
+
+def test_edf_cycle_jumps_to_the_round_cap(bound_calls):
+    ts = make_taskset(CYCLE)
+    report = analyze(ts, 4, EDF)
+    assert report == reference_analyze(ts, 4, EDF)
+    assert bound_calls["reference"] == len(ts) * (2 * len(ts) + 4)
+    # the cycle is seen when round 5 repeats round 3
+    assert bound_calls["cold"] + bound_calls["warm"] <= 5 * len(ts)
 
 
 @pytest.mark.parametrize("policy", [RM, EDF, WH], ids=lambda p: p.value)
