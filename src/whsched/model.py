@@ -151,7 +151,7 @@ def harder_than(a: int, b: int, p: int, q: int) -> bool:
     return p <= (q // b) * a or p <= q + (-(-q // b)) * (a - b)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class Task:
     """Sporadic task: WCET, relative deadline, minimum inter-arrival time."""
 
@@ -161,33 +161,18 @@ class Task:
     period: int
     constraint: WeaklyHardConstraint
 
-    def __init__(
-        self, id: int, wcet: int, deadline: int, period: int,
-        constraint: WeaklyHardConstraint,
-    ):
-        if id < 0:
-            raise InvalidTask(f"task id must be >= 0, got {id}")
-        if not 1 <= wcet <= deadline <= period:
+    def __post_init__(self):
+        if self.id < 0:
+            raise InvalidTask(f"task id must be >= 0, got {self.id}")
+        if not 1 <= self.wcet <= self.deadline <= self.period:
             raise InvalidTask(
-                f"task {id}: need 1 <= C <= D <= T, got "
-                f"C={wcet}, D={deadline}, T={period}"
+                f"task {self.id}: need 1 <= C <= D <= T, got "
+                f"C={self.wcet}, D={self.deadline}, T={self.period}"
             )
-        _set_id(self, id)
-        _set_wcet(self, wcet)
-        _set_deadline(self, deadline)
-        _set_period(self, period)
-        _set_constraint(self, constraint)
 
     @property
     def utilization(self) -> Fraction:
         return Fraction(self.wcet, self.period)
-
-
-_set_id = Task.__dict__["id"].__set__
-_set_wcet = Task.__dict__["wcet"].__set__
-_set_deadline = Task.__dict__["deadline"].__set__
-_set_period = Task.__dict__["period"].__set__
-_set_constraint = Task.__dict__["constraint"].__set__
 
 
 def rank_key(task: Task) -> tuple[int, int, int]:

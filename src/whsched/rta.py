@@ -36,26 +36,12 @@ class InterferencePolicy(Enum):
     WEAKLY_HARD_JC0 = "wh"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class TaskReport:
     task_id: int
     rub: int
     slack: int
     schedulable: bool
-
-    def __init__(self, task_id: int, rub: int, slack: int, schedulable: bool):
-        # analyze builds one per task: set the slots through their
-        # descriptors, not object.__setattr__ per field (see model.py)
-        _set_task_id(self, task_id)
-        _set_rub(self, rub)
-        _set_slack(self, slack)
-        _set_schedulable(self, schedulable)
-
-
-_set_task_id = TaskReport.__dict__["task_id"].__set__
-_set_rub = TaskReport.__dict__["rub"].__set__
-_set_slack = TaskReport.__dict__["slack"].__set__
-_set_schedulable = TaskReport.__dict__["schedulable"].__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,10 +92,8 @@ def _bound(wcet: int, deadline: int, terms: list[_Term], cores: int, rub: int) -
     jobs are excluded and min(C, r) is dropped when N mod (h + 1) = h.
     Nothing contributes for x <= 0.
 
-    The iteration starts at ``rub``: C, or any value that is at most the
-    least fixed point and that the recurrence does not lower, such as a
-    step of the iteration from C, or the bound of a recurrence that this
-    one dominates pointwise.
+    The iteration starts at ``rub``: C, or a step of the iteration
+    from C.
     """
     while True:
         cap = rub - wcet + 1
@@ -168,17 +152,11 @@ def _analyze_edf(compiled: list[_Compiled], cores: int) -> list[int]:
     # D, then D + 1 - C) and every workload is nondecreasing in x, so when
     # no interferer of k fell since the last round, k's recurrence rose
     # pointwise and its least fixed point did not fall: a k that failed
-    # fails again unevaluated, and a bounded k restarts from its last Rub.
-    # From the second round on, a round's outcome is a function of its
-    # incoming bounds, so once a bound vector repeats, the rounds cycle
-    # without settling; the result is then the vector the cap would reach.
-    limit = 2 * len(compiled) + 4
+    # fails again unevaluated.  Every other bound starts from scratch.
     rubs = [deadline for _, _, deadline, _, _ in compiled]
-    states = [rubs]  # states[t] is the bound vector after t rounds
-    seen: dict[tuple[int, ...], int] = {}
     fell: list[int] | None = None  # the tasks whose Rub fell last round
     prev_verdicts: list[bool] | None = None
-    for r in range(limit):
+    for _ in range(2 * len(compiled) + 4):
         terms = [
             _term(wcet, period, h, rub, _slack(deadline, rub))
             for (_, wcet, deadline, period, h), rub in zip(compiled, rubs)
@@ -190,25 +168,20 @@ def _analyze_edf(compiled: list[_Compiled], cores: int) -> list[int]:
             if k:
                 others[k - 1] = terms[k - 1]
             rub = rubs[k]
-            if fell is None or (fell and fell != [k]):
-                # from scratch, with the first step from C taken as a
-                # count: at Rub = C the cap is 1, and every term with
-                # x = C + offset > 0 has a workload of at least 1
+            if fell is None or (fell and fell != [k]) or rub <= deadline:
+                # the first step from C taken as a count: at Rub = C the
+                # cap is 1, and every term with x = C + offset > 0 has a
+                # workload of at least 1
                 floor = -wcet
                 start = wcet + len([term for term in others if term[3] > floor]) // cores
                 rub = _bound(wcet, deadline, others, cores, start)
-            elif rub <= deadline:
-                rub = _bound(wcet, deadline, others, cores, rub)
             new_rubs.append(rub)
         verdicts = [rub <= deadline for (_, _, deadline, _, _), rub in zip(compiled, new_rubs)]
-        if new_rubs == rubs or verdicts == prev_verdicts:
-            return new_rubs
+        settled = new_rubs == rubs or verdicts == prev_verdicts
         fell = [i for i, (new, old) in enumerate(zip(new_rubs, rubs)) if new < old]
         rubs, prev_verdicts = new_rubs, verdicts
-        first = seen.setdefault(tuple(rubs), r + 1)
-        if first <= r:
-            return states[first + (limit - first) % (r + 1 - first)]
-        states.append(rubs)
+        if settled:
+            break
     return rubs
 
 
@@ -220,17 +193,13 @@ def analyze(ts: TaskSet, cores: int, policy: InterferencePolicy) -> AnalysisRepo
     refines the whole set in Jacobi rounds, each bounding every task
     against the bounds of the round before, until the bounds or the
     verdicts stop moving, for at most 2n + 4 rounds.  From the second
-    round on, a task is bounded from scratch only when some interferer's
-    Rub fell since the last round.  Otherwise its recurrence rose
-    pointwise, because an interferer's window offset strictly increases
-    with its Rub and every workload is nondecreasing, so a task that
-    failed fails again without evaluation and a bounded task restarts
-    from its last Rub.  Once the bounds after some round repeat those
-    after an earlier round, the rounds cycle without settling, and the
-    bounds the round cap would reach are returned at once.  All of this
-    is exact: the reports equal those of bounding every task from
-    scratch in every round up to the cap.  The set is schedulable when
-    every task is.
+    round on, a task that failed is bounded again only when some
+    interferer's Rub fell since the last round.  Otherwise its
+    recurrence rose pointwise, because an interferer's window offset
+    strictly increases with its Rub and every workload is nondecreasing,
+    so it fails again without evaluation.  This is exact: the reports
+    equal those of bounding every task in every round.  The set is
+    schedulable when every task is.
 
     Raises:
         EmptyTaskSet: if the task set has no tasks.

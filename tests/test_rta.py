@@ -1,6 +1,3 @@
-import dataclasses
-import pickle
-
 import pytest
 
 from whsched import (
@@ -10,7 +7,6 @@ from whsched import (
     InterferencePolicy,
     Scenario,
     Task,
-    TaskReport,
     TaskSet,
     WeaklyHardConstraint,
     analyze,
@@ -115,22 +111,6 @@ class TestWhWorkload:
             for window in range(0, 10 * t.period):
                 terms = wh_workload(t, t.wcet, 0, window)
                 assert terms.excluded == terms.jobs // (h + 1)
-
-
-class TestTaskReport:
-    # built through its slot descriptors; still a frozen dataclass value
-    def test_value_semantics(self):
-        report = TaskReport(4, 7, 3, True)
-        assert report == TaskReport(task_id=4, rub=7, slack=3, schedulable=True)
-        assert report != TaskReport(4, 7, 3, False)
-        assert hash(report) == hash(TaskReport(4, 7, 3, True))
-        assert repr(report) == "TaskReport(task_id=4, rub=7, slack=3, schedulable=True)"
-        assert dataclasses.astuple(report) == (4, 7, 3, True)
-        failed = dataclasses.replace(report, rub=11, slack=0, schedulable=False)
-        assert failed == TaskReport(4, 11, 0, False)
-        assert pickle.loads(pickle.dumps(report)) == report
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            report.rub = 8
 
 
 class TestResponseTime:

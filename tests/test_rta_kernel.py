@@ -80,24 +80,21 @@ SWEEP_SHAPED = [
 ]
 
 # its EDF rounds fall into a 2-cycle from round 3 and never settle, so
-# the reference runs all 2n + 4 = 44 rounds
+# both sides run all 2n + 4 = 44 rounds
 CYCLE = GenSpec(20, 2.8, 5, Scenario.ALL_HIGH, seed=(99 << 8) ^ 1)
 
 
 @pytest.fixture
 def bound_calls(monkeypatch):
-    """Count the kernel's bounds from scratch and from a warm start, and
-    the reference's bounds, which recompute every task in every round."""
+    """Count the kernel's bounds and the reference's bounds, which
+    recompute every task in every round."""
     calls = collections.Counter()
     bound = rta._bound
     reference = reference_rta._reference_response_time
 
-    def counted_bound(wcet, deadline, terms, cores, rub):
-        # a bound from scratch starts at the first step from C: C plus
-        # the number of terms with x = C + offset > 0, over the cores
-        first = wcet + sum(offset > -wcet for *_, offset in terms) // cores
-        calls["cold" if rub == first else "warm"] += 1
-        return bound(wcet, deadline, terms, cores, rub)
+    def counted_bound(*args):
+        calls["kernel"] += 1
+        return bound(*args)
 
     def counted_reference(*args):
         calls["reference"] += 1
@@ -109,7 +106,7 @@ def bound_calls(monkeypatch):
 
 
 def test_edf_matches_reference_on_sweep_shaped_sets(bound_calls):
-    skipped = warm = 0
+    skipped = 0
     for spec in SWEEP_SHAPED:
         ts = make_taskset(spec)
         bound_calls.clear()
@@ -117,20 +114,16 @@ def test_edf_matches_reference_on_sweep_shaped_sets(bound_calls):
         assert report == reference_analyze(ts, 4, EDF), spec
         # both run the same rounds; a bound the kernel did not compute
         # is a failure carried over because no interferer's Rub fell
-        kernel = bound_calls["cold"] + bound_calls["warm"]
-        assert kernel <= bound_calls["reference"], spec
-        skipped += bound_calls["reference"] - kernel
-        warm += bound_calls["warm"]
-    assert skipped > 0 and warm > 0
+        assert bound_calls["kernel"] <= bound_calls["reference"], spec
+        skipped += bound_calls["reference"] - bound_calls["kernel"]
+    assert skipped > 0
 
 
-def test_edf_cycle_jumps_to_the_round_cap(bound_calls):
+def test_edf_matches_reference_up_to_the_round_cap(bound_calls):
     ts = make_taskset(CYCLE)
     report = analyze(ts, 4, EDF)
     assert report == reference_analyze(ts, 4, EDF)
     assert bound_calls["reference"] == len(ts) * (2 * len(ts) + 4)
-    # the cycle is seen when round 5 repeats round 3
-    assert bound_calls["cold"] + bound_calls["warm"] <= 5 * len(ts)
 
 
 @pytest.mark.parametrize("policy", [RM, EDF, WH], ids=lambda p: p.value)
