@@ -137,7 +137,7 @@ def run_experiment(
     columns except the timing one are deterministic for a given seed.
 
     Raises:
-        ValueError: if sets < 1 or cores < 1.
+        ValueError: if sets or cores is not an integer >= 1.
     """
     _check_at_least_one("sets", sets)
     _check_at_least_one("cores", cores)
@@ -176,6 +176,8 @@ def _out_stream(path: str | None):
 
 
 def _check_at_least_one(name: str, value: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
 

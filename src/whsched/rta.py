@@ -203,12 +203,15 @@ def analyze(ts: TaskSet, cores: int, policy: InterferencePolicy) -> AnalysisRepo
 
     Raises:
         EmptyTaskSet: if the task set has no tasks.
-        ValueError: if cores < 1, or policy is not an InterferencePolicy.
+        ValueError: if cores is not an integer >= 1, or policy is not an
+            InterferencePolicy.
     """
     if not isinstance(policy, InterferencePolicy):
         raise ValueError(f"policy must be an InterferencePolicy, got {policy!r}")
     if len(ts) == 0:
         raise EmptyTaskSet("cannot analyze an empty task set")
+    if isinstance(cores, bool) or not isinstance(cores, int):
+        raise ValueError(f"cores must be an integer, got {cores!r}")
     if cores < 1:
         raise ValueError(f"cores must be >= 1, got {cores}")
     compiled = [_compile(task, policy) for task in sorted(ts, key=rank_key)]

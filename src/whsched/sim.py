@@ -6,7 +6,8 @@ reaches its absolute deadline unfinished is killed on the spot and
 counts as a miss; a finished job counts as a hit at its deadline.  The
 job-class policy prices each job at release from the task's current job
 level, so one task's jobs move between priorities as hits and misses
-accumulate.  Everything is deterministic given the seeds.
+accumulate.  Everything is deterministic given the seeds.  A trace
+keeps each job whose deadline falls inside the horizon once, as a record.
 
 The event core touches only the state an event changes.  Ready jobs sit
 in a list sorted by one unique integer key per job (-priority, or the
@@ -104,9 +105,12 @@ class JobRecord:
 
 @dataclass(frozen=True)
 class SimTrace:
+    """Per task id, one ``JobRecord`` and one outcome bit (1 hit, 0 miss)
+    per job whose deadline is at most ``horizon``, in release order; a
+    killed job is a record whose ``finish`` is None."""
+
     records: dict[int, list[JobRecord]]
     outcomes: dict[int, list[int]]
-    events: list[tuple[int, str, int, int]]  # (time, kind, task id, job index)
     horizon: int
 
     def outcome_string(self, task_id: int) -> str:
@@ -122,14 +126,13 @@ class Violation:
 
 class _Job:
     __slots__ = (
-        "task_id", "rank", "index", "release", "deadline", "class_index",
-        "key", "remaining", "executed", "finish", "recorded",
+        "task_id", "rank", "release", "deadline", "class_index",
+        "key", "remaining", "executed", "finish",
     )
 
-    def __init__(self, task_id, rank, index, release, deadline, class_index, key, exec_time, recorded):
+    def __init__(self, task_id, rank, release, deadline, class_index, key, exec_time):
         self.task_id = task_id
         self.rank = rank
-        self.index = index
         self.release = release
         self.deadline = deadline
         self.class_index = class_index
@@ -137,7 +140,6 @@ class _Job:
         self.remaining = exec_time
         self.executed = 0
         self.finish = None
-        self.recorded = recorded
 
 
 # ``randint(lo, lo + width - 1)`` is ``lo`` plus CPython's rejection
@@ -287,10 +289,9 @@ def simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig) -> SimTra
 
     Returns:
         SimTrace with one JobRecord and one outcome bit per job whose
-        deadline falls inside the horizon, in release order per task,
-        plus a global event log.  Jobs released near the end of the
-        horizon whose deadline lies beyond it still execute (they
-        interfere) but are not recorded.
+        deadline falls inside the horizon, in release order per task.
+        Jobs released near the end of the horizon whose deadline lies
+        beyond it still execute (they interfere) but are not recorded.
 
     Raises:
         InvalidConfig: for a non-integer or out-of-range cores, horizon
@@ -352,7 +353,6 @@ def simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig) -> SimTra
 
     records: dict[int, list[JobRecord]] = {task.id: [] for task in tasks}
     outcomes: dict[int, list[int]] = {task.id: [] for task in tasks}
-    events: list[tuple[int, str, int, int]] = []
 
     horizon = cfg.horizon
     cores = cfg.cores
@@ -386,27 +386,25 @@ def simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig) -> SimTra
         for i, j in enumerate(running):
             if not j.remaining:
                 j.finish = now
-                events.append((now, "finish", j.task_id, j.index))
                 del ready_keys[i - done], ready[i - done]
                 done += 1
                 changed = True
 
         # deadline checks come after completions so a job finishing
-        # exactly at its deadline counts as a hit
+        # exactly at its deadline counts as a hit; now <= horizon, so
+        # every expiring job is recorded
         while deadlines and deadlines[0][0] == now:
             j = heappop(deadlines)[2]
             hit = j.finish is not None
             if not hit:
-                events.append((now, "kill", j.task_id, j.index))
                 i = bisect_left(ready_keys, j.key)
                 del ready_keys[i], ready[i]
                 changed = True
-            if j.recorded:
-                outcomes[j.task_id].append(1 if hit else 0)
-                records[j.task_id].append(_record(
-                    j.task_id, j.release, j.deadline, j.class_index,
-                    j.executed, j.finish, "hit" if hit else "miss",
-                ))
+            outcomes[j.task_id].append(1 if hit else 0)
+            records[j.task_id].append(_record(
+                j.task_id, j.release, j.deadline, j.class_index,
+                j.executed, j.finish, "hit" if hit else "miss",
+            ))
             r = j.rank
             s = level_nxt[r][2 * levels[r] + hit]
             levels[r] = s if s >= 0 else tables[r].step(levels[r], hit)
@@ -421,22 +419,18 @@ def simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig) -> SimTra
             q = level_class[r][levels[r]]
             deadline = now + tasks[r].deadline
             key = deadline * n + r if edf else class_keys[r][q]
-            job = _Job(
-                tasks[r].id, r, idx, now, deadline, q,
-                key, exec_times[r][idx], deadline <= horizon,
-            )
+            job = _Job(tasks[r].id, r, now, deadline, q, key, exec_times[r][idx])
             i = bisect_left(ready_keys, key)
             ready_keys.insert(i, key)
             ready.insert(i, job)
             heappush(deadlines, (deadline, seq, job))
             seq += 1
-            events.append((now, "release", job.task_id, idx))
             changed = True
 
         if changed:
             running = ready[:cores]
 
-    return SimTrace(records=records, outcomes=outcomes, events=events, horizon=horizon)
+    return SimTrace(records=records, outcomes=outcomes, horizon=horizon)
 
 
 def check_trace(trace: SimTrace, ts: TaskSet) -> list[Violation]:

@@ -39,13 +39,12 @@ _EXEC_SEED_OFFSET = 0x517CC1B7
 
 class _Job:
     __slots__ = (
-        "task_id", "index", "release", "deadline", "class_index",
+        "task_id", "release", "deadline", "class_index",
         "key", "remaining", "executed", "finish", "recorded",
     )
 
-    def __init__(self, task_id, index, release, deadline, class_index, key, exec_time, recorded):
+    def __init__(self, task_id, release, deadline, class_index, key, exec_time, recorded):
         self.task_id = task_id
-        self.index = index
         self.release = release
         self.deadline = deadline
         self.class_index = class_index
@@ -81,12 +80,11 @@ def reference_simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig)
     rng_exe = random.Random(exe_seed)
 
     tasks = sorted(ts, key=lambda t: t.id)
-    releases: list[tuple[int, int, int, int]] = []  # (time, task id, job index, exec time)
+    releases: list[tuple[int, int, int]] = []  # (time, task id, exec time)
     for task in tasks:
         times = _release_times(task, cfg, rng_rel)
         execs = _exec_times(task, len(times), cfg, rng_exe)
-        for idx, (t, e) in enumerate(zip(times, execs)):
-            releases.append((t, task.id, idx, e))
+        releases.extend((t, task.id, e) for t, e in zip(times, execs))
     releases.sort()
 
     by_id = {task.id: task for task in tasks}
@@ -98,7 +96,6 @@ def reference_simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig)
 
     records: dict[int, list[JobRecord]] = {task.id: [] for task in tasks}
     outcomes: dict[int, list[int]] = {task.id: [] for task in tasks}
-    events: list[tuple[int, str, int, int]] = []
 
     def job_key(task_id: int, q: int, deadline: int):
         if cfg.policy is SchedulingPolicy.JOB_CLASS:
@@ -130,15 +127,12 @@ def reference_simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig)
         for j in running:
             if j.remaining == 0 and j.finish is None:
                 j.finish = now
-                events.append((now, "finish", j.task_id, j.index))
 
         # deadline checks come after completions so a job finishing
         # exactly at its deadline counts as a hit
         expired = [j for j in live if j.deadline == now]
         for j in expired:
             hit = j.finish is not None
-            if not hit:
-                events.append((now, "kill", j.task_id, j.index))
             if j.recorded:
                 outcomes[j.task_id].append(1 if hit else 0)
                 records[j.task_id].append(JobRecord(
@@ -152,20 +146,19 @@ def reference_simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig)
             live.remove(j)
 
         while ptr < len(releases) and releases[ptr][0] == now:
-            _, tid, idx, exec_time = releases[ptr]
+            _, tid, exec_time = releases[ptr]
             ptr += 1
             task = by_id[tid]
             q = levels[tid].class_index if tid in transforms else 0
             deadline = now + task.deadline
             job = _Job(
-                tid, idx, now, deadline, q,
+                tid, now, deadline, q,
                 job_key(tid, q, deadline), exec_time, deadline <= cfg.horizon,
             )
             live.append(job)
-            events.append((now, "release", tid, idx))
 
         ready = [j for j in live if j.finish is None]
         ready.sort(key=lambda j: j.key)
         running = ready[:cfg.cores]
 
-    return SimTrace(records=records, outcomes=outcomes, events=events, horizon=cfg.horizon)
+    return SimTrace(records=records, outcomes=outcomes, horizon=cfg.horizon)

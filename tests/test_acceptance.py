@@ -185,10 +185,19 @@ def test_high_tolerance_set_schedulable_beyond_core_count():
 def test_analysis_runtime_flat_in_window_size():
     # 100 tasks on 4 cores: every analysis run finishes under 2 s, and
     # the median runtime is insensitive to K (within 2x across three
-    # orders of magnitude)
+    # orders of magnitude).  The K = 50 and K = 500 sets are the K = 5
+    # set with every (m, K) scaled by 10 and 100: m/K, and so (w, h),
+    # stay the same, so the sets differ in K alone and not in how much
+    # fixed-point work they need
+    base = make_taskset(GenSpec(100, 3.0, 5, Scenario.ALL_LOW, seed=555))
     medians = {}
     for k in (5, 50, 500):
-        ts = make_taskset(GenSpec(100, 3.0, k, Scenario.ALL_LOW, seed=555))
+        scale = k // 5
+        ts = TaskSet(tuple(
+            Task(t.id, t.wcet, t.deadline, t.period,
+                 WeaklyHardConstraint(t.constraint.m * scale, t.constraint.K * scale))
+            for t in base
+        ))
         samples = []
         for _ in range(7):
             start = time.perf_counter()

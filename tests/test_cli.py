@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +105,8 @@ class TestCount:
         proc = subprocess.run(
             [sys.executable, "-m", "whsched", "count", "--m", "2", "--k", "5"],
             capture_output=True, text=True,
+            # the child runs the whsched this test imported, installed or not
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "9/16 0.5625"
@@ -452,4 +456,14 @@ class TestRunExperiment:
         monkeypatch.setattr(cli, "make_taskset", no_generation)
         with pytest.raises(ValueError, match="cores must be >= 1, got 0"):
             run_experiment(["rm"], Scenario.ALL_HIGH, tasks=3, cores=0, window=5,
+                           sets=2, u_list=[1.0])
+
+    @pytest.mark.parametrize("cores", [2.5, 2.0, True])
+    def test_cores_must_be_an_integer(self, monkeypatch, cores):
+        def no_generation(spec):
+            raise AssertionError("generated a set before checking cores")
+
+        monkeypatch.setattr(cli, "make_taskset", no_generation)
+        with pytest.raises(ValueError, match=f"^cores must be an integer, got {cores!r}$"):
+            run_experiment(["rm"], Scenario.ALL_HIGH, tasks=3, cores=cores, window=5,
                            sets=2, u_list=[1.0])

@@ -169,6 +169,12 @@ class TestResponseTime:
         with pytest.raises(ValueError):
             analyze(EXAMPLE, 0, RM)
 
+    @pytest.mark.parametrize("cores", [2.5, 2.0, True])
+    def test_cores_must_be_an_integer(self, cores):
+        # 2.5 used to give float bounds and True to run as one core
+        with pytest.raises(ValueError, match=f"^cores must be an integer, got {cores!r}$"):
+            analyze(EXAMPLE, cores, WH)
+
     @pytest.mark.parametrize("policy", ["wh", "rm", None])
     def test_policy_must_be_a_member(self, policy):
         # "wh" used to run the fixed-priority baseline, which refuses this

@@ -1,12 +1,15 @@
+import os
 import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import whsched
 from whsched import (
     ConstraintKind,
     DeadlineSequence,
@@ -65,7 +68,9 @@ def test_import_needs_no_third_party_package():
         "print(sorted({n.split('.')[0] for n in set(sys.modules) - before}"
         " - set(sys.stdlib_module_names) - {'whsched'}))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    # the child imports the whsched this test imported, installed or not
+    env = dict(os.environ, PYTHONPATH=str(Path(whsched.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["False", "[]"]
 

@@ -54,11 +54,14 @@ class TestSingleTask:
     def test_deadline_beyond_horizon_not_recorded(self):
         ts = TaskSet((task(0, 1, 2, 2),))
         trace = simulate(ts, assign_priorities(ts), cfg(horizon=3))
-        assert len(trace.records[0]) == 1
-        releases = [e for e in trace.events if e[1] == "release"]
-        assert [e[0] for e in releases] == [0, 2]
-        finishes = [e for e in trace.events if e[1] == "finish"]
-        assert [e[0] for e in finishes] == [1, 3]
+        assert [(r.release, r.finish) for r in trace.records[0]] == [(0, 1)]
+        # an unrecorded job still runs: task 0's job released at 3 has
+        # deadline 6 past the horizon, yet it preempts task 1, which misses
+        ts = TaskSet((task(0, 1, 3, 3), task(1, 3, 4, 4)))
+        trace = simulate(ts, assign_priorities(ts), cfg(horizon=4, policy=SchedulingPolicy.RM))
+        assert [r.release for r in trace.records[0]] == [0]
+        (rec,) = trace.records[1]
+        assert (rec.outcome, rec.executed, rec.finish) == ("miss", 2, None)
 
 
 class TestJobClassAlternation:
@@ -163,7 +166,7 @@ class TestStochasticModels:
             cfg(horizon=600, release=SporadicJitter(max_jitter=3), seed=9),
         )
         for tid, period in ((0, 5), (1, 7)):
-            times = [e[0] for e in trace.events if e[1] == "release" and e[2] == tid]
+            times = [r.release for r in trace.records[tid]]
             gaps = [b - a for a, b in zip(times, times[1:])]
             assert gaps and all(period <= g <= period + 3 for g in gaps)
             assert times[0] == 0
@@ -174,7 +177,7 @@ class TestStochasticModels:
             ts, assign_priorities(ts),
             cfg(horizon=600, release=SporadicJitter(max_jitter=3), seed=9),
         )
-        times = [e[0] for e in trace.events if e[1] == "release"]
+        times = [r.release for r in trace.records[0]]
         gaps = {b - a for a, b in zip(times, times[1:])}
         assert len(gaps) > 1
 
@@ -194,7 +197,7 @@ class TestStochasticModels:
         jitter = SporadicJitter(max_jitter=4, seed=77)
         a = simulate(ts, table, cfg(horizon=400, release=jitter, seed=1))
         b = simulate(ts, table, cfg(horizon=400, release=jitter, seed=2))
-        times = lambda tr: [e[0] for e in tr.events if e[1] == "release"]
+        times = lambda tr: [r.release for r in tr.records[0]]
         assert times(a) == times(b)
 
     def test_determinism(self):
@@ -207,7 +210,7 @@ class TestStochasticModels:
         a, b = simulate(ts, table, c), simulate(ts, table, c)
         assert a.records == b.records
         assert a.outcomes == b.outcomes
-        assert a.events == b.events
+        assert a == b
 
 
 class TestValidation:

@@ -2,10 +2,10 @@
 
 ``reference_simulate`` (``reference_sim.py``) rescans every live job at
 every event and re-sorts the ready set by a tuple key.  ``simulate``
-must return an equal ``SimTrace``: the same records, outcome bits, event
-log and horizon, on random sets under every policy and model, on sets
-with K up to 50 that walk deep into each task's job-level table, and on
-hand-made sets that pin the order of events within one tick.  The
+must return an equal ``SimTrace``: the same records, outcome bits and
+horizon, on random sets under every policy and model, on sets with K up
+to 50 that walk deep into each task's job-level table, and on hand-made
+sets where finishes, deadlines and releases meet in one tick.  The
 inlined integer draws are checked against ``Random.randint`` directly.
 """
 
@@ -217,12 +217,11 @@ def test_finish_at_deadline_is_a_hit(policy):
 
 @pytest.mark.parametrize("policy", list(SchedulingPolicy), ids=lambda p: p.value)
 def test_finish_and_release_in_one_tick(policy):
-    # task 1 finishes at 2 as both next jobs arrive: the finish is logged
-    # before the releases
+    # task 1 finishes at 2 as both next jobs arrive
     ts = TaskSet((task(0, 1, 2, 2), task(1, 1, 2, 2)))
     trace = same_trace(ts, assign_priorities(ts), SimConfig(1, 6, policy))
-    tick2 = [e for e in trace.events if e[0] == 2]
-    assert [e[1] for e in tick2] == ["finish", "release", "release"]
+    assert [r.finish for r in trace.records[1]] == [2, 4, 6]
+    assert all(trace.records[t][1].release == 2 for t in (0, 1))
     assert all(trace.outcome_string(t) == "111" for t in (0, 1))
 
 
@@ -246,8 +245,15 @@ def test_constrained_deadlines_kill_before_next_release(policy, cores):
     table = assign_priorities(ts)
     for execution, seed in ((AlwaysWcet(), 0), (UniformUpToWcet(), 4)):
         trace = same_trace(ts, table, SimConfig(cores, 210, policy, execution=execution, seed=seed))
-        kills = [e for e in trace.events if e[1] == "kill"]
+        kills = 0
+        for tk in ts:
+            for index, rec in enumerate(trace.records[tk.id]):
+                assert rec.release == index * tk.period
+                assert rec.deadline == rec.release + tk.deadline
+                if rec.finish is None:
+                    # killed at its deadline, before the task's next release
+                    kills += 1
+                    assert rec.outcome == "miss" and rec.executed < tk.wcet
+                    assert rec.deadline <= (index + 1) * tk.period
         if cores == 1 and execution == AlwaysWcet():
             assert kills
-        for time, _, tid, index in kills:
-            assert time == index * ts.task(tid).period + ts.task(tid).deadline
