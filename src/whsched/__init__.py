@@ -1,7 +1,7 @@
 """Scheduling toolkit for weakly-hard (m, K) task sets on multi-core.
 
 Constraints, tolerance classes, and the (w, h) transformation live in
-``model``; sequence constraints and exact counting in ``sequences``;
+``model``; exact counting over outcome sequences in ``sequences``;
 job-class priorities and the job-level automaton in ``priority``;
 response-time analysis in ``rta``; the discrete-event scheduler in
 ``sim``; task-set generation in ``gen``; the CLI and experiment harness
@@ -27,8 +27,6 @@ from .model import (
 from .priority import (
     EmptyTaskSet,
     JobClassTable,
-    JobLevelState,
-    advance_job_level,
     assign_priorities,
     class_count,
 )
@@ -39,13 +37,8 @@ from .rta import (
     analyze,
 )
 from .sequences import (
-    ConstraintKind,
-    DeadlineSequence,
-    SequenceTooShort,
     TransformationCost,
-    critical_sequence,
     hardness_bruteforce,
-    satisfies,
     transformation_cost,
 )
 from .sim import (
@@ -68,8 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlwaysWcet",
     "AnalysisReport",
-    "ConstraintKind",
-    "DeadlineSequence",
     "EmptyTaskSet",
     "ExperimentResult",
     "GenSpec",
@@ -81,12 +72,10 @@ __all__ = [
     "InvalidConstraint",
     "InvalidTask",
     "JobClassTable",
-    "JobLevelState",
     "JobRecord",
     "MKTransform",
     "Scenario",
     "SchedulingPolicy",
-    "SequenceTooShort",
     "SimConfig",
     "SimTrace",
     "SporadicJitter",
@@ -99,13 +88,11 @@ __all__ = [
     "UniformUpToWcet",
     "Violation",
     "WeaklyHardConstraint",
-    "advance_job_level",
     "analyze",
     "assign_priorities",
     "check_trace",
     "class_count",
     "classify",
-    "critical_sequence",
     "derive_wh",
     "harder_than",
     "hardness_bruteforce",
@@ -113,7 +100,6 @@ __all__ = [
     "main",
     "make_taskset",
     "run_experiment",
-    "satisfies",
     "save_taskset",
     "simulate",
     "transformation_cost",

@@ -7,57 +7,52 @@ Priorities are unique integers handed out class-major: every class-0
 priority beats every class-1 priority, and so on.  Larger value wins.
 
 A task's current class is tracked by a job level jl in
-[-(h - 1), K - m]: the class of the next job is max(0, jl).  Hits push
-the level up (saturating), w consecutive misses restore it to the
-initial -(h - 1).
+[-(h - 1), K - m] and its run of consecutive misses: the class of the
+next job is max(0, jl).  Hits push the level up (saturating), w
+consecutive misses restore it to the initial -(h - 1).  The state is two
+plain integers, and ``next_job_level`` is the one step the simulator
+takes at every deadline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import MKTransform, Task, TaskSet, rank_key
+from .model import Task, TaskSet, WeaklyHardConstraint, derive_wh, rank_key
 
 
 class EmptyTaskSet(ValueError):
     """Priorities were requested for a task set with no tasks."""
 
 
-@dataclass(frozen=True, slots=True)
-class JobLevelState:
-    level: int
-    miss_streak: int
+def level_shape(constraint: WeaklyHardConstraint) -> tuple[int, int, int]:
+    """The job-level automaton's constants for one task: (initial, w, cap).
 
-    @classmethod
-    def initial(cls, transform: MKTransform) -> "JobLevelState":
-        return cls(-(transform.h - 1), 0)
+    ``initial`` is the starting level 1 - h, ``w`` the run of misses that
+    restores it and ``cap`` the top level K - m.  A hard task gets
+    (0, 1, 0), which keeps it at level 0, class 0, whatever happens.
+    """
+    if constraint.m == 0:
+        return 0, 1, 0
+    t = derive_wh(constraint)
+    return 1 - t.h, t.w, constraint.K - constraint.m
 
-    @property
-    def class_index(self) -> int:
-        return max(0, self.level)
 
+def next_job_level(
+    level: int, streak: int, initial: int, w: int, cap: int, hit: bool
+) -> tuple[int, int]:
+    """Advance (level, miss streak) after one job outcome.
 
-def advance_job_level(
-    state: JobLevelState, transform: MKTransform, level_cap: int, hit: bool
-) -> JobLevelState:
-    """Advance the job level after one job outcome.
-
-    Args:
-        state: level and current run of consecutive misses.
-        transform: the task's (w, h) pattern.
-        level_cap: upper bound for the level, K - m.
-        hit: True when the job met its deadline.
-
-    A hit raises the level by one, saturating at ``level_cap``, and
-    clears the miss run.  A miss leaves the level alone until the run
-    reaches w, which restores the initial state.
+    A hit raises the level by one, saturating at ``cap``, and clears the
+    streak.  A miss leaves the level alone until the streak reaches
+    ``w``, which restores (``initial``, 0).  The class of the next job
+    is ``max(0, level)``.
     """
     if hit:
-        return JobLevelState(min(state.level + 1, level_cap), 0)
-    streak = state.miss_streak + 1
-    if streak >= transform.w:
-        return JobLevelState.initial(transform)
-    return JobLevelState(state.level, streak)
+        return (level + 1 if level < cap else cap), 0
+    if streak + 1 >= w:
+        return initial, 0
+    return level, streak + 1
 
 
 @dataclass(frozen=True)

@@ -1,106 +1,19 @@
-"""Deadline outcome sequences and window constraints.
+"""Exact counts over deadline outcome sequences.
 
 A sequence records one bit per job: 1 for a met deadline, 0 for a miss.
-Window constraints bound hits or misses over every window of a fixed
-length, either anywhere in the window or as consecutive runs.  Counts
-over all sequences of a given length are exact integers: the (w, h)
-pattern's sequences by a run-length automaton, the (m, K) sequences in
-closed form.
+Counts over all sequences of a given length are exact integers: the
+(w, h) pattern's sequences by a run-length automaton, the (m, K)
+sequences in closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal
-from enum import Enum
 from fractions import Fraction
 from math import comb, inf
 
 from .model import MKTransform, WeaklyHardConstraint, derive_wh
-
-
-class SequenceTooShort(ValueError):
-    """The sequence has fewer outcomes than the window length."""
-
-
-class ConstraintKind(Enum):
-    ANY_HITS = "any-hits"      # at least a hits in every window
-    ANY_MISSES = "any-misses"  # at most a misses in every window
-    ROW_HITS = "row-hits"      # a run of >= a consecutive hits in every window
-    ROW_MISSES = "row-misses"  # no run of more than a consecutive misses
-
-
-@dataclass(frozen=True, slots=True)
-class DeadlineSequence:
-    outcomes: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        for x in self.outcomes:
-            if x not in (0, 1):
-                raise ValueError(f"outcomes must be 0 or 1, got {x!r}")
-
-    @classmethod
-    def from_string(cls, bits: str) -> "DeadlineSequence":
-        return cls(tuple(int(c) for c in bits))
-
-    def __len__(self):
-        return len(self.outcomes)
-
-    def __str__(self):
-        return "".join(str(x) for x in self.outcomes)
-
-
-def _longest_run(window: tuple[int, ...], value: int) -> int:
-    best = run = 0
-    for x in window:
-        if x == value:
-            run += 1
-            if run > best:
-                best = run
-        else:
-            run = 0
-    return best
-
-
-def satisfies(seq: DeadlineSequence, kind: ConstraintKind, a: int, window: int) -> bool:
-    """Check a window constraint over every window of the sequence.
-
-    Args:
-        seq: outcome sequence, at least ``window`` jobs long.
-        kind: which bound to apply per window.
-        a: the bound (hits required, or misses allowed).
-        window: window length, checked at every offset.
-
-    Raises:
-        SequenceTooShort: if the sequence is shorter than the window.
-        ValueError: if a or window are out of range.
-    """
-    if window < 1 or not 0 <= a <= window:
-        raise ValueError(f"need 1 <= window and 0 <= a <= window, got a={a}, window={window}")
-    n = len(seq)
-    if n < window:
-        raise SequenceTooShort(f"sequence of length {n} has no window of {window}")
-    outcomes = seq.outcomes
-    for start in range(n - window + 1):
-        win = outcomes[start:start + window]
-        hits = sum(win)
-        if kind is ConstraintKind.ANY_HITS:
-            ok = hits >= a
-        elif kind is ConstraintKind.ANY_MISSES:
-            ok = window - hits <= a
-        elif kind is ConstraintKind.ROW_HITS:
-            ok = _longest_run(win, 1) >= a
-        else:
-            ok = _longest_run(win, 0) <= a
-        if not ok:
-            return False
-    return True
-
-
-def critical_sequence(transform: MKTransform) -> DeadlineSequence:
-    """Worst tolerated pattern of a (w, h) transform: h hits then w misses."""
-    return DeadlineSequence((1,) * transform.h + (0,) * transform.w)
 
 
 def _fold_admitted(k: int, t: MKTransform, start, unreached, join, miss):

@@ -20,14 +20,13 @@ one heap entry per task.  A task's release and execution times are
 drawn up front into a ``range`` (synchronous releases) or an
 ``array('q')``.
 
-Per job, the simulator avoids three costs without changing a trace.
-Each task's job level is a state number in a lazily filled transition
-table whose entries come from ``advance_job_level``, so a deadline is
-one list lookup and no new ``JobLevelState``.  Records are built
-through the ``JobRecord`` slot descriptors, skipping the frozen
-dataclass ``__init__``.  Integer draws inline ``randint``'s rejection
-loop over ``getrandbits``, so they give the same values and leave the
-generator in the same state.
+Per job, the simulator avoids two costs without changing a trace.
+Records are built through the ``JobRecord`` slot descriptors, skipping
+the frozen dataclass ``__init__``.  Integer draws inline ``randint``'s
+rejection loop over ``getrandbits``, so they give the same values and
+leave the generator in the same state.  Each task's job level and miss
+streak are two plain integers, advanced by ``next_job_level`` at every
+deadline.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush, heapreplace
 
-from .model import MKTransform, Task, TaskSet, derive_wh
-from .priority import JobClassTable, JobLevelState, advance_job_level, class_count
+from .model import Task, TaskSet
+from .priority import JobClassTable, class_count, level_shape, next_job_level
 
 
 class InvalidConfig(ValueError):
@@ -215,39 +214,6 @@ def _record_builder():
 _record = _record_builder()
 
 
-class _LevelTable:
-    """One task's job-level automaton as a lazily filled transition table.
-
-    States are interned ``JobLevelState``s numbered from 0 (the initial
-    state); ``class_index[s]`` is state s's class and ``nxt[2 * s + hit]``
-    the number of the state after a miss (hit = 0) or a hit (hit = 1),
-    or -1 until ``step`` has asked ``advance_job_level`` once.  Only the
-    states a trace reaches are ever built.
-    """
-
-    __slots__ = ("transform", "level_cap", "states", "ids", "class_index", "nxt")
-
-    def __init__(self, transform: MKTransform, level_cap: int):
-        start = JobLevelState.initial(transform)
-        self.transform = transform
-        self.level_cap = level_cap
-        self.states = [start]
-        self.ids = {start: 0}
-        self.class_index = [start.class_index]
-        self.nxt = [-1, -1]
-
-    def step(self, s: int, hit: bool) -> int:
-        state = advance_job_level(self.states[s], self.transform, self.level_cap, hit)
-        t = self.ids.get(state)
-        if t is None:
-            t = self.ids[state] = len(self.states)
-            self.states.append(state)
-            self.class_index.append(state.class_index)
-            self.nxt += (-1, -1)
-        self.nxt[2 * s + hit] = t
-        return t
-
-
 def _check_int(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidConfig(f"{name} must be an integer, got {value!r}")
@@ -302,15 +268,14 @@ def simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig) -> SimTra
     first the release stream, task by task in id order up to the
     horizon, then the execution stream in the same order.  Each draw
     equals ``randint(0, max_jitter)`` or ``randint(1, wcet)`` on the
-    stream and leaves it in the same state.  A task's job level moves
-    through its transition table exactly as through
-    ``advance_job_level``, and every record is an ordinary, frozen
-    ``JobRecord``, equal to one built by its constructor.  Within one
-    tick, finishes come first (in running order), then deadline expiries
-    (in release order, each advancing its task's job level), then
-    releases (in id order).  Equal-priority EDF ties break toward the
-    lower task id; job-class and fixed priorities break ties the same
-    way, though a table from ``assign_priorities`` has none.
+    stream and leaves it in the same state.  Every record is an
+    ordinary, frozen ``JobRecord``, equal to one built by its
+    constructor.  Within one tick, finishes come first (in running
+    order), then deadline expiries (in release order, each advancing its
+    task's job level by ``next_job_level``), then releases (in id
+    order).  Equal-priority EDF ties break toward the lower task id;
+    job-class and fixed priorities break ties the same way, though a
+    table from ``assign_priorities`` has none.
     """
     _validate(ts, table, cfg)
 
@@ -327,16 +292,11 @@ def simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig) -> SimTra
         _exec_times(task, len(times), cfg, rng_exe)
         for task, times in zip(tasks, release_times)
     ]
-    # job levels as state numbers into each task's table; a hard task
-    # stays in its one class-0 state, so it needs no table
-    tables = [
-        _LevelTable(derive_wh(t.constraint), t.constraint.K - t.constraint.m)
-        if t.constraint.m > 0 else None
-        for t in tasks
-    ]
-    level_nxt = [tab.nxt if tab else [0, 0] for tab in tables]
-    level_class = [tab.class_index if tab else [0] for tab in tables]
-    levels = [0] * n
+    # per task, the job-level automaton's (initial, w, cap), its level
+    # and its run of consecutive misses
+    shapes = [level_shape(t.constraint) for t in tasks]
+    levels = [shape[0] for shape in shapes]
+    streaks = [0] * n
 
     # integer ready keys, unique because C <= D <= T leaves at most one
     # live job per task: -priority or deadline, then rank
@@ -406,8 +366,8 @@ def simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig) -> SimTra
                 j.executed, j.finish, "hit" if hit else "miss",
             ))
             r = j.rank
-            s = level_nxt[r][2 * levels[r] + hit]
-            levels[r] = s if s >= 0 else tables[r].step(levels[r], hit)
+            initial, w, cap = shapes[r]
+            levels[r], streaks[r] = next_job_level(levels[r], streaks[r], initial, w, cap, hit)
 
         while pending and pending[0][0] == now:
             _, r, idx = pending[0]
@@ -416,7 +376,7 @@ def simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig) -> SimTra
                 heapreplace(pending, (times[idx + 1], r, idx + 1))
             else:
                 heappop(pending)
-            q = level_class[r][levels[r]]
+            q = levels[r] if levels[r] > 0 else 0  # max(0, level)
             deadline = now + tasks[r].deadline
             key = deadline * n + r if edf else class_keys[r][q]
             job = _Job(tasks[r].id, r, now, deadline, q, key, exec_times[r][idx])

@@ -7,7 +7,8 @@ event it scans every running and live job for the next finish and the
 next deadline, and re-sorts the whole ready set by a tuple key.  All
 releases are built up front as one sorted list of 4-tuples.
 
-It shares no event bookkeeping with the kernel, so
+It shares no event bookkeeping with the kernel, and it states the
+job-level rule on its own in ``paper_job_level``, so
 ``tests/test_sim_kernel.py`` can check that both produce equal traces.
 Inputs are assumed valid: it does not call ``_validate``.
 """
@@ -19,7 +20,6 @@ import random
 from whsched import (
     AlwaysWcet,
     JobClassTable,
-    JobLevelState,
     JobRecord,
     SchedulingPolicy,
     SimConfig,
@@ -29,12 +29,37 @@ from whsched import (
     Task,
     TaskSet,
     UniformUpToWcet,
-    advance_job_level,
+    WeaklyHardConstraint,
     derive_wh,
 )
 
 # offset so the execution stream never replays the release stream
 _EXEC_SEED_OFFSET = 0x517CC1B7
+
+
+def paper_initial_level(c: WeaklyHardConstraint) -> tuple[int, int]:
+    """A task's first (jl, misses): jl = -(h - 1); a hard task sits at 0."""
+    if c.m == 0:
+        return 0, 0
+    return -(derive_wh(c).h - 1), 0
+
+
+def paper_job_level(jl: int, misses: int, c: WeaklyHardConstraint, hit: bool) -> tuple[int, int]:
+    """The job level jl and the run of consecutive misses after one outcome.
+
+    A hit raises jl by one, up to K - m, and ends the run.  The w-th
+    miss in a row puts the task back at its initial level; any other
+    miss only lengthens the run.  A hard task has the one class 0 and
+    never leaves level 0.
+    """
+    if c.m == 0:
+        return 0, 0
+    if hit:
+        return min(jl + 1, c.K - c.m), 0
+    misses += 1
+    if misses == derive_wh(c).w:
+        return paper_initial_level(c)
+    return jl, misses
 
 
 class _Job:
@@ -88,11 +113,7 @@ def reference_simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig)
     releases.sort()
 
     by_id = {task.id: task for task in tasks}
-    transforms = {
-        task.id: derive_wh(task.constraint) for task in tasks if task.constraint.m > 0
-    }
-    level_caps = {task.id: task.constraint.K - task.constraint.m for task in tasks}
-    levels = {tid: JobLevelState.initial(tr) for tid, tr in transforms.items()}
+    levels = {task.id: paper_initial_level(task.constraint) for task in tasks}
 
     records: dict[int, list[JobRecord]] = {task.id: [] for task in tasks}
     outcomes: dict[int, list[int]] = {task.id: [] for task in tasks}
@@ -139,17 +160,16 @@ def reference_simulate(ts: TaskSet, table: JobClassTable | None, cfg: SimConfig)
                     j.task_id, j.release, j.deadline, j.class_index,
                     j.executed, j.finish, "hit" if hit else "miss",
                 ))
-            if j.task_id in transforms:
-                levels[j.task_id] = advance_job_level(
-                    levels[j.task_id], transforms[j.task_id], level_caps[j.task_id], hit
-                )
+            levels[j.task_id] = paper_job_level(
+                *levels[j.task_id], by_id[j.task_id].constraint, hit
+            )
             live.remove(j)
 
         while ptr < len(releases) and releases[ptr][0] == now:
             _, tid, exec_time = releases[ptr]
             ptr += 1
             task = by_id[tid]
-            q = levels[tid].class_index if tid in transforms else 0
+            q = max(0, levels[tid][0])
             deadline = now + task.deadline
             job = _Job(
                 tid, now, deadline, q,

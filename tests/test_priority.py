@@ -4,18 +4,16 @@ import pytest
 
 from whsched import (
     EmptyTaskSet,
-    JobLevelState,
-    MKTransform,
     Task,
     TaskSet,
     WeaklyHardConstraint,
-    advance_job_level,
     assign_priorities,
     class_count,
-    critical_sequence,
     derive_wh,
 )
 from whsched.model import rank_key
+from whsched.priority import level_shape, next_job_level
+from reference_sim import paper_initial_level, paper_job_level
 
 
 def task(id=0, c=1, d=10, t=10, m=0, k=1):
@@ -100,58 +98,81 @@ class TestAssignPriorities:
         assert by_jc0 == sorted(ts, key=rank_key)
 
 
+def walk(m, k, start, outcomes):
+    """The (level, streak) states the package step passes through."""
+    shape = level_shape(WeaklyHardConstraint(m, k))
+    states = [start]
+    for bit in outcomes:
+        states.append(next_job_level(*states[-1], *shape, hit=bit == "1"))
+    return states
+
+
 class TestJobLevelAutomaton:
     def test_initial_state(self):
-        t = MKTransform(1, 3)
-        s = JobLevelState.initial(t)
-        assert (s.level, s.miss_streak) == (-2, 0)
-        assert s.class_index == 0
+        # (1, 4) derives (w, h) = (1, 3): the level starts at 1 - h
+        assert level_shape(WeaklyHardConstraint(1, 4)) == (-2, 1, 3)
+        assert paper_initial_level(WeaklyHardConstraint(1, 4)) == (-2, 0)
 
     def test_hits_saturate_at_cap(self):
-        t = MKTransform(1, 2)  # from (1, 3): cap = K - m = 2
-        s = JobLevelState.initial(t)
-        levels = []
-        for _ in range(5):
-            s = advance_job_level(s, t, 2, hit=True)
-            levels.append(s.level)
-        assert levels == [0, 1, 2, 2, 2]
+        # (1, 3) derives (1, 2) and caps the level at K - m = 2
+        levels = [lv for lv, _ in walk(1, 3, (-1, 0), "11111")]
+        assert levels == [-1, 0, 1, 2, 2, 2]
 
     def test_w_misses_restore_initial(self):
-        t = MKTransform(2, 1)  # from (2, 3): cap = 1
-        s = JobLevelState(1, 0)
-        s = advance_job_level(s, t, 1, hit=False)
-        assert (s.level, s.miss_streak) == (1, 1)
-        s = advance_job_level(s, t, 1, hit=False)
-        assert s == JobLevelState.initial(t)
+        # (2, 3) derives (2, 1): the second miss in a row resets
+        assert walk(2, 3, (1, 0), "00") == [(1, 0), (1, 1), (0, 0)]
 
     def test_hit_clears_miss_streak(self):
-        t = MKTransform(2, 1)
-        s = JobLevelState(1, 1)
-        s = advance_job_level(s, t, 1, hit=True)
-        assert (s.level, s.miss_streak) == (1, 0)
+        assert walk(2, 3, (1, 1), "1") == [(1, 1), (1, 0)]
+
+    def test_step_matches_reference_on_every_reachable_state(self):
+        # every (m, K) up to K = 60 and the hard shape: walk all states
+        # reachable from the initial one, compare each step with the
+        # reference rule and keep each state inside [1 - h, K - m] x [0, w)
+        constraints = [WeaklyHardConstraint(0, 1)] + [
+            WeaklyHardConstraint(m, k) for k in range(2, 61) for m in range(1, k)
+        ]
+        most = 0
+        for c in constraints:
+            shape = initial, w, cap = level_shape(c)
+            start = paper_initial_level(c)
+            assert start == (initial, 0)
+            seen = {start}
+            todo = [start]
+            while todo:
+                state = todo.pop()
+                assert initial <= state[0] <= cap and 0 <= state[1] < w, (c, state)
+                for hit in (False, True):
+                    nxt = next_job_level(*state, *shape, hit)
+                    assert nxt == paper_job_level(*state, c, hit), (c, state, hit)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
+            most = max(most, len(seen))
+        # (1, 60): levels -58..59, all at streak 0
+        assert most == 118
 
     def test_critical_pattern_keeps_class_zero_on_hits(self):
-        # replaying the worst tolerated pattern, the automaton demands
-        # class 0 exactly while the pattern hits
+        # replaying the worst tolerated pattern, h hits then w misses,
+        # the automaton demands class 0 exactly while the pattern hits
         for k in range(2, 13):
             for m in range(1, k):
-                t = derive_wh(WeaklyHardConstraint(m, k))
-                cap = k - m
-                s = JobLevelState.initial(t)
-                pattern = critical_sequence(t).outcomes * 4
+                c = WeaklyHardConstraint(m, k)
+                t, shape = derive_wh(c), level_shape(c)
+                level, streak = shape[0], 0
+                pattern = ((1,) * t.h + (0,) * t.w) * 4
                 for outcome in pattern:
                     if outcome == 1:
-                        assert s.class_index == 0
-                    s = advance_job_level(s, t, cap, hit=outcome == 1)
+                        assert max(0, level) == 0
+                    level, streak = next_job_level(level, streak, *shape, outcome == 1)
 
     @pytest.mark.parametrize("m,k", [(2, 5), (1, 3), (2, 3), (3, 8), (5, 8)])
     def test_random_stream_stays_in_bounds(self, m, k):
-        t = derive_wh(WeaklyHardConstraint(m, k))
-        cap = k - m
+        c = WeaklyHardConstraint(m, k)
+        t, shape = derive_wh(c), level_shape(c)
         rng = random.Random(k * 31 + m)
-        s = JobLevelState.initial(t)
+        level, streak = shape[0], 0
         for _ in range(500):
-            assert -(t.h - 1) <= s.level <= cap
-            assert 0 <= s.miss_streak < t.w
-            assert 0 <= s.class_index <= cap
-            s = advance_job_level(s, t, cap, hit=rng.random() < 0.7)
+            assert -(t.h - 1) <= level <= k - m
+            assert 0 <= streak < t.w
+            level, streak = next_job_level(level, streak, *shape, rng.random() < 0.7)

@@ -6,7 +6,6 @@ import pytest
 from whsched import (
     AlwaysWcet,
     InvalidConfig,
-    JobLevelState,
     JobRecord,
     SchedulingPolicy,
     SimConfig,
@@ -17,12 +16,11 @@ from whsched import (
     UniformUpToWcet,
     Violation,
     WeaklyHardConstraint,
-    advance_job_level,
     assign_priorities,
     check_trace,
-    derive_wh,
     simulate,
 )
+from whsched.priority import level_shape, next_job_level
 
 
 def task(id=0, c=1, d=10, t=10, m=0, k=1):
@@ -150,12 +148,11 @@ class TestAutomatonReplay:
             cfg(cores=1, horizon=200, policy=policy, execution=UniformUpToWcet(), seed=5),
         )
         for t in ts:
-            tr = derive_wh(t.constraint)
-            cap = t.constraint.K - t.constraint.m
-            state = JobLevelState.initial(tr)
+            shape = level_shape(t.constraint)
+            level, streak = shape[0], 0
             for rec in trace.records[t.id]:
-                assert rec.class_index == state.class_index
-                state = advance_job_level(state, tr, cap, rec.outcome == "hit")
+                assert rec.class_index == max(0, level)
+                level, streak = next_job_level(level, streak, *shape, rec.outcome == "hit")
 
 
 class TestStochasticModels:

@@ -1,12 +1,13 @@
 """The incremental event core against the scan-everything reference.
 
 ``reference_simulate`` (``reference_sim.py``) rescans every live job at
-every event and re-sorts the ready set by a tuple key.  ``simulate``
-must return an equal ``SimTrace``: the same records, outcome bits and
-horizon, on random sets under every policy and model, on sets with K up
-to 50 that walk deep into each task's job-level table, and on hand-made
-sets where finishes, deadlines and releases meet in one tick.  The
-inlined integer draws are checked against ``Random.randint`` directly.
+every event, re-sorts the ready set by a tuple key and advances job
+levels by its own rule, ``paper_job_level``.  ``simulate`` must return
+an equal ``SimTrace``: the same records, outcome bits and horizon, on
+random sets under every policy and model, on sets with K up to 50 that
+walk deep into each task's job-level automaton, and on hand-made sets
+where finishes, deadlines and releases meet in one tick.  The inlined
+integer draws are checked against ``Random.randint`` directly.
 """
 
 import random
@@ -15,7 +16,6 @@ import pytest
 
 from whsched import (
     AlwaysWcet,
-    JobLevelState,
     SchedulingPolicy,
     SimConfig,
     SporadicJitter,
@@ -24,11 +24,10 @@ from whsched import (
     TaskSet,
     UniformUpToWcet,
     WeaklyHardConstraint,
-    advance_job_level,
     assign_priorities,
-    derive_wh,
     simulate,
 )
+from whsched.priority import level_shape, next_job_level
 from whsched.sim import _exec_times, _release_times
 from reference_sim import reference_simulate
 
@@ -140,19 +139,17 @@ def _level_coverage(ts, trace) -> set[str]:
     """
     seen = set()
     for tk in ts:
-        c = tk.constraint
-        transform = derive_wh(c)
-        cap = c.K - c.m
-        state = JobLevelState.initial(transform)
+        initial, w, cap = level_shape(tk.constraint)
+        level, streak = initial, 0
         for bit in trace.outcomes[tk.id]:
-            nxt = advance_job_level(state, transform, cap, bool(bit))
-            if nxt.level == cap > state.level:
+            nxt, nxt_streak = next_job_level(level, streak, initial, w, cap, bool(bit))
+            if nxt == cap > level:
                 seen.add("cap")
-            if not bit and transform.w > 1 and state.level > 0 and state.miss_streak + 1 == transform.w:
+            if not bit and w > 1 and level > 0 and streak + 1 == w:
                 seen.add("w-reset")
-            if transform.h > 1 and nxt.class_index > 0:
+            if initial < 0 and nxt > 0:
                 seen.add("h>1")
-            state = nxt
+            level, streak = nxt, nxt_streak
     return seen
 
 
