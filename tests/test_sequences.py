@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -18,6 +19,7 @@ from whsched import (
     sequences,
     transformation_cost,
 )
+from reference_sequences import reference_count, reference_most_misses
 
 
 def _windows_ok(bits, width, pred):
@@ -28,6 +30,10 @@ def _weakened(constraint):
     # the derived shape loosened by one, still with w = 1 or h = 1
     t = derive_wh(constraint)
     return MKTransform(1, t.h - 1) if t.w == 1 and t.h > 1 else MKTransform(t.w + 1, 1)
+
+
+_MK_SMALL = [WeaklyHardConstraint(m, k) for k in range(2, 65) for m in range(1, k)]
+_MK_1000 = [WeaklyHardConstraint(m, 1000) for m in (1, 300, 500, 667, 900, 999)]
 
 
 def _naive(m, k, t):
@@ -120,6 +126,31 @@ class TestTransformationCost:
                     verdicts.add(hard)
         assert verdicts == {True, False}
 
+    @pytest.mark.parametrize("shape", [derive_wh, _weakened], ids=["derived", "weakened"])
+    def test_matches_fold_referee(self, shape, monkeypatch):
+        # the per-prefix DPs against the register-list fold, on every
+        # pair up to K = 64 and on K = 1000 spots that reach both the
+        # w = 1 and the h = 1 branch
+        monkeypatch.setattr(sequences, "derive_wh", shape)
+        verdicts = set()
+        for c in _MK_SMALL + _MK_1000:
+            t = shape(c)
+            most = reference_most_misses(c.K, t)
+            assert transformation_cost(c).transformed_count == reference_count(c.K, t), (c, t)
+            assert sequences._most_misses(c.K, t) == most, (c, t)
+            assert hardness_bruteforce(c) is (most <= c.m), (c, t)
+            verdicts.add(most <= c.m)
+        # the derived shapes are tight: loosened by one, every one of them
+        # admits a sequence with more than m misses
+        assert verdicts == {shape is derive_wh}
+
+    def test_original_count_matches_binomial_sum(self):
+        # the walk runs from the lower end when 2m < K, else from the upper
+        for c in _MK_SMALL + _MK_1000:
+            expect = sum(comb(c.K, i) for i in range(c.m + 1))
+            assert transformation_cost(c).original_count == expect, c
+        assert {2 * c.m < c.K for c in _MK_1000} == {True, False}
+
     def test_transformed_never_exceeds_original(self):
         for k in range(2, 13):
             for m in range(1, k):
@@ -129,11 +160,20 @@ class TestTransformationCost:
     def test_large_window(self):
         cost = transformation_cost(WeaklyHardConstraint(300, 1000))
         assert cost.original_count == sum(comb(1000, i) for i in range(301))
-        assert 0 < cost.transformed_count <= cost.original_count
+        for m in range(1, 1000):
+            cost = transformation_cost(WeaklyHardConstraint(m, 1000))
+            assert 0 < cost.transformed_count <= cost.original_count, m
 
     def test_decimal_digits(self):
         cost = transformation_cost(WeaklyHardConstraint(2, 5))
         assert cost.decimal(digits=2) == Decimal("0.56")
+
+    @pytest.mark.parametrize("digits", [None, True, 0, -1, 2.5])
+    def test_decimal_digits_must_be_a_positive_int(self, digits):
+        cost = transformation_cost(WeaklyHardConstraint(2, 5))
+        message = f"digits must be an integer >= 1, got {digits!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cost.decimal(digits)
 
 
 class TestHardnessBruteforce:
@@ -143,5 +183,5 @@ class TestHardnessBruteforce:
                 assert hardness_bruteforce(WeaklyHardConstraint(m, k))
 
     def test_large_window(self):
-        for m in (1, 300, 500, 999):
+        for m in range(1, 1000):
             assert hardness_bruteforce(WeaklyHardConstraint(m, 1000)), m
